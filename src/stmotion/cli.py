@@ -188,9 +188,6 @@ def cmd_rollout(args) -> int:
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()
-    if seed.shape[0] > cfg.window:
-        raise ConfigError(
-            f"seed length {seed.shape[0]} exceeds model window {cfg.window}")
     steps = int(round(args.seconds * seed_seq.frame_rate))
     pred, maps = model.rollout(params, cfg, seed, steps,
                                collect_attention=bool(args.dump_attention))

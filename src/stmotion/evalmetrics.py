@@ -14,7 +14,6 @@ import numpy as np
 
 from . import so3
 from .motiondata import Skeleton, fk_positions
-from .model import zero_velocity  # noqa: F401  (re-exported baseline)
 
 
 def _promote(x) -> np.ndarray:

@@ -206,12 +206,6 @@ def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 
-def _causal_mask(t: int, dtype) -> np.ndarray:
-    m = np.zeros((t, t), dtype=dtype)
-    m[np.triu_indices(t, k=1)] = _NEG_INF
-    return m
-
-
 def _causal_keep(t: int, dtype) -> np.ndarray:
     return np.tril(np.ones((t, t), dtype=dtype))
 
@@ -442,35 +436,26 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
             collect_attention: bool = False):
-    """Autoregressive prediction: predict one frame, project it onto SO(3),
-    append, slide the window, repeat.
+    """`rollout_batch` on a single seed window.
 
     seed: (T_seed, N, M) flattened rotations, T_seed <= cfg.window.
-    Returns (predictions (steps, N, M), list of per-step AttentionMaps)."""
-    seed = np.asarray(seed, dtype=np.float32)
-    t_seed, n, m = seed.shape
-    if t_seed > cfg.window:
-        raise ConfigError(f"seed length {t_seed} exceeds model window {cfg.window}")
-    win = seed.copy()
-    out = np.empty((steps, n, m), dtype=np.float32)
-    all_maps = []
-    for s in range(steps):
-        pred, maps, _ = forward(params, cfg, win, training=False)
-        if collect_attention:
-            all_maps.append(maps)
-        nxt = pred.data[-1]
-        nxt = project_to_so3(nxt.reshape(n, 3, 3)).reshape(n, m).astype(np.float32)
-        out[s] = nxt
-        win = np.concatenate([win[1:], nxt[None]], axis=0)
-    return out, all_maps
+    Returns (predictions (steps, N, M), list of per-step AttentionMaps, empty
+    unless `collect_attention`)."""
+    maps = []
+    pred = rollout_batch(params, cfg, np.asarray(seed)[None], steps,
+                         maps if collect_attention else None)
+    return pred[0], maps
 
 
 def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray,
-                  steps: int) -> np.ndarray:
-    """Autoregressive rollout of several windows at once.
+                  steps: int, maps_out: list | None = None) -> np.ndarray:
+    """Autoregressive prediction of several windows at once: predict the next
+    frame of each window, project it onto SO(3), append it, slide the window,
+    repeat.
 
-    seeds: (B, T_seed, N, M) -> predictions (B, steps, N, M). Identical per
-    window to `rollout` without attention collection."""
+    seeds: (B, T_seed, N, M) flattened rotations, T_seed <= cfg.window.
+    Returns predictions (B, steps, N, M). When `maps_out` is a list, each
+    step's AttentionMaps (averaged over the batch) is appended to it."""
     seeds = np.asarray(seeds, dtype=np.float32)
     b, t_seed, n, m = seeds.shape
     if t_seed > cfg.window:
@@ -478,7 +463,9 @@ def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray
     win = seeds.copy()
     out = np.empty((b, steps, n, m), dtype=np.float32)
     for s in range(steps):
-        pred, _, _ = forward(params, cfg, win, training=False)
+        pred, maps, _ = forward(params, cfg, win, training=False)
+        if maps_out is not None:
+            maps_out.append(maps)
         nxt = pred.data[:, -1]
         nxt = project_to_so3(nxt.reshape(-1, 3, 3)).reshape(b, n, m).astype(np.float32)
         out[:, s] = nxt
@@ -500,16 +487,16 @@ def zero_velocity(seed: np.ndarray, steps: int) -> np.ndarray:
 
 
 def attention_rows(maps: AttentionMaps, step: int | None = None):
-    """Yield (layer, head, kind, row, col, weight) tuples, with an optional
-    leading step index."""
+    """Yield the CSV lines of one (layer, head, kind, row) at a time, one line
+    `layer,head,kind,row,col,weight` per column, with an optional leading
+    step index."""
+    lead = "" if step is None else f"{step},"
     for kind, layers in (("temporal", maps.temporal), ("spatial", maps.spatial)):
         for layer, w in enumerate(layers):
-            h, r, c = w.shape
-            for i in range(h):
-                for a in range(r):
-                    for bcol in range(c):
-                        row = (layer, i, kind, a, bcol, float(w[i, a, bcol]))
-                        yield row if step is None else (step,) + row
+            for i, head in enumerate(w.tolist()):
+                for a, row in enumerate(head):
+                    prefix = f"{lead}{layer},{i},{kind},{a},"
+                    yield "".join(f"{prefix}{col},{v}\n" for col, v in enumerate(row))
 
 
 def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
@@ -525,8 +512,7 @@ def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
             header = "step," + header
         fh.write(header)
         for step, maps in enumerate(maps_list):
-            for row in attention_rows(maps, step if with_step else None):
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.writelines(attention_rows(maps, step if with_step else None))
     finally:
         if own:
             fh.close()

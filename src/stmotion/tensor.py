@@ -92,13 +92,10 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Usable as a context manager; nested tapes record to the innermost one.
-    ``n_elements`` counts elements of every recorded output, which serves as
-    the forward workspace measure for the complexity benchmarks.
     """
 
     def __init__(self):
         self.ops: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self.n_elements = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -119,7 +116,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Ten
         tape = _TAPE_STACK[-1]
         out.has_graph = True
         tape.ops.append((out, tuple(inputs), backward_fn))
-        tape.n_elements += out.data.size
     return out
 
 

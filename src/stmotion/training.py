@@ -128,18 +128,28 @@ def validation_metrics(params, cfg: ModelConfig, val_windows: np.ndarray,
     }
 
 
-def make_eval_windows(seqs: list[MotionSequence], count: int, length: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Sample `count` flattened windows of `length` frames across sequences."""
+def _window_starts(seqs: list[MotionSequence], count: int, length: int,
+                   rng: np.random.Generator):
+    """Yield `count` (sequence, start) draws for windows of `length` frames:
+    a sequence with probability proportional to its number of such windows,
+    then a uniform start in it. Lazy, so a caller's own draws from `rng`
+    between windows keep their place in the stream."""
     lengths = np.array([max(s.n_frames - length + 1, 0) for s in seqs])
     if lengths.sum() == 0:
         raise ValueError(f"no sequence long enough for windows of {length} frames")
     probs = lengths / lengths.sum()
-    out = np.empty((count, length, seqs[0].skeleton.n_joints, 9), dtype=np.float32)
-    for i in range(count):
+    for _ in range(count):
         si = rng.choice(len(seqs), p=probs)
-        start = int(rng.integers(0, lengths[si]))
-        out[i] = seqs[si].flat()[start:start + length]
+        yield seqs[si], int(rng.integers(0, lengths[si]))
+
+
+def make_eval_windows(seqs: list[MotionSequence], count: int, length: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Sample `count` flattened windows of `length` frames across sequences."""
+    picks = list(_window_starts(seqs, count, length, rng))
+    out = np.empty((count, length, seqs[0].skeleton.n_joints, 9), dtype=np.float32)
+    for i, (seq, start) in enumerate(picks):
+        out[i] = seq.flat()[start:start + length]
     return out
 
 
@@ -166,17 +176,10 @@ def sample_batch(seqs: list[MotionSequence], batch_size: int, length: int,
                  mirror_prob: float = 0.0):
     """Uniform random window starts, with independent per-sample reverse and
     mirror augmentation chances."""
-    lengths = np.array([max(s.n_frames - length + 1, 0) for s in seqs])
-    if lengths.sum() == 0:
-        raise ValueError(f"no sequence long enough for windows of {length} frames")
-    probs = lengths / lengths.sum()
     picked = []
-    for _ in range(batch_size):
-        si = rng.choice(len(seqs), p=probs)
-        start = int(rng.integers(0, lengths[si]))
-        w = MotionSequence(seqs[si].skeleton,
-                           seqs[si].rotations[start:start + length],
-                           seqs[si].frame_rate)
+    for seq, start in _window_starts(seqs, batch_size, length, rng):
+        w = MotionSequence(seq.skeleton, seq.rotations[start:start + length],
+                           seq.frame_rate)
         if reverse_prob > 0 and rng.random() < reverse_prob:
             w = augment_reverse(w)
         if mirror_prob > 0 and rng.random() < mirror_prob:

@@ -355,6 +355,22 @@ class TestRollout:
         with pytest.raises(ConfigError):
             mo.rollout(params, cfg, np.zeros((9, 3, 9), np.float32), 1)
 
+    def test_collect_attention(self):
+        cfg = tiny_cfg()
+        params = mo.init_params(cfg, np.random.default_rng(24))
+        seed = rand_window(cfg, b=1, t=5, seed=24)[0]
+        out, maps = mo.rollout(params, cfg, seed, 3, collect_attention=True)
+        assert out.shape == (3, cfg.n_joints, cfg.joint_dim)
+        assert len(maps) == 3
+        first = mo.forward(params, cfg, seed)[1]
+        assert len(maps[0].temporal) == len(maps[0].spatial) == cfg.n_layers
+        for got, want in zip(maps[0].temporal + maps[0].spatial,
+                             first.temporal + first.spatial):
+            np.testing.assert_array_equal(got, want)
+        plain, no_maps = mo.rollout(params, cfg, seed, 3)
+        np.testing.assert_array_equal(plain, out)
+        assert no_maps == []
+
 
 class TestForwardValidation:
     def test_shape_mismatch(self):
@@ -455,6 +471,29 @@ class TestCheckpoint:
         assert lines[0] == "step,layer,head,kind,row,col,weight"
         assert lines[1].startswith("0,")
         assert lines[-1].startswith("1,")
+
+    @pytest.mark.parametrize("with_step", [False, True])
+    def test_attention_csv_matches_per_cell_reference(self, with_step):
+        rng = np.random.default_rng(34)
+
+        def rand_maps(t, n):
+            return mo.AttentionMaps(
+                temporal=[rng.random((2, t, t)).astype(np.float32) for _ in range(2)],
+                spatial=[rng.random((2, n, n)).astype(np.float32) for _ in range(2)])
+
+        maps_list = [rand_maps(4, 3), rand_maps(4, 3)]
+        buf = io.StringIO()
+        mo.write_attention_csv(buf, maps_list, with_step=with_step)
+        want = [("step," if with_step else "") + "layer,head,kind,row,col,weight"]
+        for step, maps in enumerate(maps_list):
+            for kind, layers in (("temporal", maps.temporal), ("spatial", maps.spatial)):
+                for layer, w in enumerate(layers):
+                    for i, a, b in np.ndindex(w.shape):
+                        cells = (layer, i, kind, a, b, float(w[i, a, b]))
+                        if with_step:
+                            cells = (step,) + cells
+                        want.append(",".join(str(v) for v in cells))
+        assert buf.getvalue() == "\n".join(want) + "\n"
 
 
 class TestSpecHandCases:

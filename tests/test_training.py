@@ -176,6 +176,42 @@ class TestSampling:
         with pytest.raises(ValueError):
             tr.sample_batch(make_seqs(n_frames=5), 2, 10, np.random.default_rng(0))
 
+    def test_samplers_match_reference_draw_loop(self):
+        sk = md.default_skeleton()
+        rng = np.random.default_rng(5)
+        seqs = [md.synth_motion(sk, n, 60.0, md.two_frequency_spec(sk),
+                                noise_std=0.01, rng=rng) for n in (30, 70)]
+        length, count = 9, 12
+
+        def reference(rng, augment):
+            lengths = np.array([s.n_frames - length + 1 for s in seqs])
+            out, picked = [], set()
+            for _ in range(count):
+                si = rng.choice(len(seqs), p=lengths / lengths.sum())
+                start = int(rng.integers(0, lengths[si]))
+                picked.add(int(si))
+                w = md.MotionSequence(sk, seqs[si].rotations[start:start + length], 60.0)
+                if augment and rng.random() < 0.5:
+                    w = md.augment_reverse(w)
+                if augment and rng.random() < 0.5:
+                    w = md.augment_mirror(w)
+                out.append(w.flat())
+            assert picked == {0, 1}
+            return np.stack(out)
+
+        got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        batch = tr.sample_batch(seqs, count, length, got_rng,
+                                reverse_prob=0.5, mirror_prob=0.5)
+        want = reference(ref_rng, augment=True)
+        np.testing.assert_array_equal(batch.inputs, want[:, :-1])
+        np.testing.assert_array_equal(batch.targets, want[:, 1:])
+        assert got_rng.random() == ref_rng.random()
+
+        got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        windows = tr.make_eval_windows(seqs, count, length, got_rng)
+        np.testing.assert_array_equal(windows, reference(ref_rng, augment=False))
+        assert got_rng.random() == ref_rng.random()
+
 
 class TestTrainLoop:
     def test_short_run_history_and_schedule(self):
