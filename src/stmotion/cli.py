@@ -151,6 +151,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalmetrics, model, motiondata, training
 
+    if args.n_windows < 1:
+        raise ConfigError(f"--n-windows must be >= 1, got {args.n_windows}")
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
     if cfg.n_joints != seq.skeleton.n_joints:
@@ -189,6 +191,9 @@ def cmd_rollout(args) -> int:
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()
     steps = int(round(args.seconds * seed_seq.frame_rate))
+    if steps < 1:
+        raise ConfigError(f"--seconds {args.seconds:g} gives {steps} frames at "
+                          f"{seed_seq.frame_rate:g} fps; need at least one")
     pred, maps = model.rollout(params, cfg, seed, steps,
                                collect_attention=bool(args.dump_attention))
     out_seq = motiondata.MotionSequence(

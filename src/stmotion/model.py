@@ -240,8 +240,10 @@ def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None, stats: ForwardSt
     return ctx, weights
 
 
-def _project_heads(x: Tensor, w: Tensor, stats: ForwardStats) -> Tensor:
-    out = tz.matmul(x, w)
+def _project_heads(x: Tensor, w: Tensor, stats: ForwardStats, per_joint: bool = False) -> Tensor:
+    """x @ w with shared weights, or with `per_joint` the joint-major map
+    `tz.joint_linear` (x: (N, ..., D), one weight matrix per joint)."""
+    out = tz.joint_linear(x, w) if per_joint else tz.matmul(x, w)
     stats.workspace_elements += out.data.size
     return out
 
@@ -251,50 +253,43 @@ def _project_heads(x: Tensor, w: Tensor, stats: ForwardStats) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _temporal_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, stats: ForwardStats):
-    """Per-joint causal attention over time. e: (B, T, N, D) -> same shape."""
-    b, t, n, d = e.data.shape
+def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, stats: ForwardStats):
+    """Per-joint causal attention over time. ej: joint-major (N, B, T, D);
+    returns (B, T, N, D)."""
+    n, b, t, _ = ej.data.shape
     h, f = cfg.n_heads, cfg.head_dim
-    dtype = e.data.dtype
-    et = tz.reshape(tz.transpose(e, (0, 2, 1, 3)), (b, n, 1, t, d))
-    q = _project_heads(et, p[pre + "t.wq"], stats)  # (B, N, H, T, F)
-    k = _project_heads(et, p[pre + "t.wk"], stats)
-    v = _project_heads(et, p[pre + "t.wv"], stats)
-    keep = _causal_keep(t, dtype)
+    q = _project_heads(ej, p[pre + "t.wq"], stats, per_joint=True)  # (N, H, B, T, F)
+    k = _project_heads(ej, p[pre + "t.wk"], stats, per_joint=True)
+    v = _project_heads(ej, p[pre + "t.wv"], stats, per_joint=True)
+    keep = _causal_keep(t, ej.data.dtype)
     ctx, weights = _attend(q, k, v, cfg, keep, stats)
-    ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, n, t, h * f))
-    out = _project_heads(ctx, p[pre + "t.wo"], stats)  # (B, N, T, D)
-    out = tz.transpose(out, (0, 2, 1, 3))
-    # (B, N, H, T, T) -> (H, T, T), averaged over batch and joints
-    maps = weights.data.mean(axis=(0, 1))
+    ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, t, h * f))
+    out = _project_heads(ctx, p[pre + "t.wo"], stats, per_joint=True)  # (N, B, T, D)
+    out = tz.transpose(out, (1, 2, 0, 3))
+    # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints; summed
+    # batch-major, so the maps do not depend on this stream's layout
+    maps = np.ascontiguousarray(weights.data.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1))
     return out, maps, n * t * t
 
 
-def _spatial_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, stats: ForwardStats):
-    """Unmasked attention among joints within a frame. e: (B, T, N, D)."""
+def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig,
+                    stats: ForwardStats):
+    """Unmasked attention among joints within a frame. e: (B, T, N, D), with
+    its joint-major view ej: (N, B, T, D) for the per-joint projections."""
     b, t, n, d = e.data.shape
-    h, f = cfg.n_heads, cfg.head_dim
     shared = tz.reshape(e, (b, t, 1, n, d))
 
-    def per_joint(w):
-        ej = tz.reshape(e, (b, t, n, 1, 1, d))
-        x = tz.matmul(ej, w)  # (B, T, N, H, 1, F)
-        stats.workspace_elements += x.data.size
-        return tz.transpose(tz.reshape(x, (b, t, n, h, f)), (0, 1, 3, 2, 4))
+    def project(name, per_joint):
+        if per_joint:  # (N, H, B, T, F) -> (B, T, H, N, F)
+            return tz.transpose(_project_heads(ej, p[name], stats, per_joint=True),
+                                (2, 3, 1, 0, 4))
+        return _project_heads(shared, p[name], stats)
 
-    if cfg.spatial_sharing == "all_shared":
-        q = _project_heads(shared, p[pre + "s.wq"], stats)
-    else:
-        q = per_joint(p[pre + "s.wq"])
-    if cfg.spatial_sharing == "all_separate":
-        k = per_joint(p[pre + "s.wk"])
-        v = per_joint(p[pre + "s.wv"])
-    else:
-        k = _project_heads(shared, p[pre + "s.wk"], stats)
-        v = _project_heads(shared, p[pre + "s.wv"], stats)
-
+    q = project(pre + "s.wq", cfg.spatial_sharing != "all_shared")
+    k = project(pre + "s.wk", cfg.spatial_sharing == "all_separate")
+    v = project(pre + "s.wv", cfg.spatial_sharing == "all_separate")
     ctx, weights = _attend(q, k, v, cfg, None, stats)  # (B, T, H, N, F)
-    ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, h * f))
+    ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, d))
     out = _project_heads(ctx, p[pre + "s.wo"], stats)  # (B, T, N, D)
     maps = weights.data.mean(axis=(0, 1))  # (H, N, N)
     return out, maps, t * n * n
@@ -377,9 +372,9 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         flat = tz.reshape(xt, (b, t, n * m))
         e = tz.add(tz.matmul(flat, params["embed.w"]), params["embed.b"])  # (B, T, D)
         e = tz.add(e, Tensor(pe))
-    else:
-        ej = tz.reshape(xt, (b, t, n, 1, m))
-        e = tz.reshape(tz.matmul(ej, params["embed.w"]), (b, t, n, d))
+    else:  # the data window needs no gradient: make it joint-major untaped
+        xj = Tensor(x.transpose(2, 0, 1, 3))
+        e = tz.transpose(tz.joint_linear(xj, params["embed.w"]), (1, 2, 0, 3))
         e = tz.add(e, params["embed.b"])
         e = tz.add(e, Tensor(pe[:, None, :]))
     stats.workspace_elements += e.data.size
@@ -392,8 +387,9 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     for l in range(cfg.n_layers):
         pre = f"l{l}."
         if cfg.variant == "st":
-            t_out, t_map, t_scores = _temporal_stream(e, params, pre, cfg, stats)
-            s_out, s_map, s_scores = _spatial_stream(e, params, pre, cfg, stats)
+            ej = tz.transpose(e, (2, 0, 1, 3))  # one joint-major view for both streams
+            t_out, t_map, t_scores = _temporal_stream(ej, params, pre, cfg, stats)
+            s_out, s_map, s_scores = _spatial_stream(e, ej, params, pre, cfg, stats)
             maps.temporal.append(t_map)
             maps.spatial.append(s_map)
             stats.scores_per_layer.append(t_scores + s_scores)
@@ -423,9 +419,8 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         delta = tz.add(tz.matmul(e, params["out.w"]), params["out.b"])
         delta = tz.reshape(delta, (b, t, n, m))
     else:
-        ej = tz.reshape(e, (b, t, n, 1, d))
-        delta = tz.reshape(tz.matmul(ej, params["out.w"]), (b, t, n, m))
-        delta = tz.add(delta, params["out.b"])
+        delta = tz.joint_linear(tz.transpose(e, (2, 0, 1, 3)), params["out.w"])
+        delta = tz.add(tz.transpose(delta, (1, 2, 0, 3)), params["out.b"])
     pred = tz.add(xt, delta)
     if not np.all(np.isfinite(pred.data)):
         raise NumericError("non-finite values in final pose projection")

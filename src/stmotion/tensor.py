@@ -23,6 +23,7 @@ __all__ = [
     "save_tensors",
     "load_tensors",
     "matmul",
+    "joint_linear",
     "add",
     "sub",
     "mul",
@@ -153,11 +154,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if _needs(a) else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if _needs(b) else None
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def joint_linear(x: Tensor, w: Tensor) -> Tensor:
+    """Separate linear map per joint, batched over the leading joint axis.
+
+    x: (N, ..., Din). With w: (N, Din, Dout) the result is (N, ..., Dout);
+    with head-split w: (N, H, Din, F) it is (N, H, ..., F). The forward is
+    one matmul batched over N and the backward two, plus a sum over heads for
+    x's gradient; no gradient is computed for an operand that needs none.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    n, lead, din = x.data.shape[0], x.data.shape[1:-1], x.data.shape[-1]
+    if w.data.ndim not in (3, 4) or w.data.shape[0] != n or w.data.shape[-2] != din:
+        raise ValueError(f"joint_linear shape mismatch: {x.data.shape} @ {w.data.shape}")
+    xf = x.data.reshape(n, -1, din)                  # (N, M, Din)
+    heads = w.data.ndim == 4
+    if heads:
+        xf = xf[:, None]                             # (N, 1, M, Din)
+    y = xf @ w.data
+    out = Tensor(y.reshape(y.shape[:-2] + lead + y.shape[-1:]))
+
+    def bwd(g):
+        gf = g.reshape(y.shape)
+        gx = gw = None
+        if _needs(x):
+            gx = gf @ np.swapaxes(w.data, -1, -2)
+            if heads:
+                gx = gx.sum(axis=1)
+            gx = gx.reshape(x.data.shape)
+        if _needs(w):
+            gw = np.swapaxes(xf, -1, -2) @ gf
+        return gx, gw
+
+    return _record(out, (x, w), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -165,7 +200,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if _needs(a) else None,
+                _unbroadcast(g, b.data.shape) if _needs(b) else None)
 
     return _record(out, (a, b), bwd)
 
@@ -175,7 +211,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if _needs(a) else None,
+                _unbroadcast(-g, b.data.shape) if _needs(b) else None)
 
     return _record(out, (a, b), bwd)
 
@@ -185,10 +222,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return (_unbroadcast(g * b.data, a.data.shape) if _needs(a) else None,
+                _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None)
 
     return _record(out, (a, b), bwd)
 
@@ -374,9 +409,12 @@ def backward(loss: Tensor, tape: Tape):
         for t, g in zip(inputs, grads):
             if g is None or not _needs(t):
                 continue
+            # Out of place: a gradient may alias another op's gradient (add
+            # hands the same array to both inputs, reshape returns a view).
             if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+                t.grad = g.astype(t.data.dtype, copy=False)
+            else:
+                t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-3) -> float:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ class TestEval:
                          "--checkpoint", str(tmp_path / "nope.stt1"),
                          "--out", str(tmp_path / "m.csv")]) == 2
 
+    def test_zero_windows_is_usage_error(self, workdir, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
+                             "--checkpoint", str(workdir / "run" / "best.stt1"),
+                             "--n-windows", "0", "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--n-windows" in err[0]
+
 
 class TestRollout:
     def test_writes_prediction_motion(self, workdir, tmp_path):
@@ -196,6 +206,20 @@ class TestRollout:
         assert lines[0] == "step,layer,head,kind,row,col,weight"
         steps = {int(line.split(",")[0]) for line in lines[1:]}
         assert steps == {0, 1, 2}  # 0.05 s at 60 fps
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "0.001"])
+    def test_no_frames_is_usage_error(self, workdir, tmp_path, capsys, seconds):
+        seed_file = tmp_path / "seed.stm1"
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:8], seq.frame_rate))
+        out = tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--seed-file", str(seed_file), "--seconds", seconds,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--seconds" in err[0]
+        assert not out.exists()
 
     def test_seed_longer_than_window(self, workdir, tmp_path):
         seed_file = tmp_path / "long.stm1"

@@ -266,6 +266,22 @@ class TestGradients:
             assert err < 1e-4, f"{variant}:{name} grad error {err}"
 
 
+class TestTapeSize:
+    def test_desk_training_step_op_count(self):
+        # every recorded op costs Python overhead per call, and batch-1
+        # rollouts run the same op sequence: guard against op creep
+        from stmotion.training import loss_per_joint_l2
+        cfg = mo.ModelConfig(n_joints=9, embed_dim=16, n_heads=2, n_layers=2, ff_size=32,
+                             window=32, dropout=0.1, variant="st")
+        params = mo.init_params(cfg, np.random.default_rng(18))
+        x = rand_window(cfg, b=16, seed=19)
+        with Tape() as tape:
+            pred, _, _ = mo.forward(params, cfg, x, training=True,
+                                    rng=np.random.default_rng(20))
+            loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
+        assert len(tape.ops) <= 86
+
+
 class TestSharingAblations:
     def test_param_shapes(self):
         cfg = tiny_cfg(spatial_sharing="all_separate")
@@ -536,7 +552,8 @@ class TestSpecHandCases:
         }
         e = Tensor(rng.standard_normal((2, 6, 1, d)).astype(np.float32))
         stats = mo.ForwardStats()
-        t_out, _, _ = mo._temporal_stream(e, st_params, "l0.", cfg, stats)
+        ej = tz.transpose(e, (2, 0, 1, 3))  # joint-major (N, B, T, D)
+        t_out, _, _ = mo._temporal_stream(ej, st_params, "l0.", cfg, stats)
         flat = Tensor(e.data.reshape(2, 6, d))
         a_out, _, _ = mo._token_stream(flat, p2, "l0.", cfg,
                                        mo._token_causal_keep(6, 1, np.float32),
@@ -551,7 +568,8 @@ class TestSpecHandCases:
             (1, 4, 1, cfg.embed_dim)).astype(np.float32)
         e = Tensor(np.tile(one, (1, 1, cfg.n_joints, 1)))
         stats = mo.ForwardStats()
-        _, maps, _ = mo._spatial_stream(e, params, "l0.", cfg, stats)
+        _, maps, _ = mo._spatial_stream(e, tz.transpose(e, (2, 0, 1, 3)), params, "l0.",
+                                        cfg, stats)
         np.testing.assert_allclose(maps, 1.0 / cfg.n_joints, atol=1e-6)
 
     def test_rollout_single_step_is_projected_forward_row(self):

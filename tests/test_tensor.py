@@ -47,6 +47,67 @@ class TestMatmul:
         assert err < 1e-3
 
 
+class TestJointLinear:
+    @pytest.mark.parametrize("w_shape", [(3, 5, 4), (3, 2, 5, 4)])
+    def test_gradients_match_finite_differences(self, w_shape):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 2, 4, 5))         # (N, B, T, Din)
+        w = rng.standard_normal(w_shape)
+        out_shape = tz.joint_linear(f64(x), f64(w)).shape
+        c = f64(rng.standard_normal(out_shape))       # non-uniform upstream grad
+
+        err_x = finite_diff_check(
+            lambda t: tz.tsum(tz.mul(tz.joint_linear(t, f64(w)), c)), f64(x))
+        err_w = finite_diff_check(
+            lambda t: tz.tsum(tz.mul(tz.joint_linear(f64(x), t), c)), f64(w))
+        assert err_x < 1e-6
+        assert err_w < 1e-6
+
+    def test_matches_broadcast_matmul(self):
+        # the per-joint maps as the model wrote them before: a broadcast
+        # matmul over a (B, T, N, 1, ..., D) view of the batch-major input
+        rng = np.random.default_rng(12)
+        b, t, n, h, d, f = 2, 3, 4, 2, 6, 5
+        e = rng.standard_normal((b, t, n, d)).astype(np.float32)
+        w3 = rng.standard_normal((n, d, f)).astype(np.float32)
+        w4 = rng.standard_normal((n, h, d, f)).astype(np.float32)
+        ej = Tensor(e.transpose(2, 0, 1, 3))
+        got3 = tz.joint_linear(ej, Tensor(w3)).data                  # (N, B, T, F)
+        ref3 = (e[:, :, :, None] @ w3)[:, :, :, 0]                   # (B, T, N, F)
+        np.testing.assert_allclose(got3, ref3.transpose(2, 0, 1, 3), rtol=1e-6, atol=1e-6)
+        got4 = tz.joint_linear(ej, Tensor(w4)).data                  # (N, H, B, T, F)
+        ref4 = (e[:, :, :, None, None] @ w4)[:, :, :, :, 0]          # (B, T, N, H, F)
+        np.testing.assert_allclose(got4, ref4.transpose(2, 3, 0, 1, 4), rtol=1e-6, atol=1e-6)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            tz.joint_linear(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((2, 5, 6))))
+        with pytest.raises(ValueError):
+            tz.joint_linear(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((3, 4, 6))))
+
+    @pytest.mark.parametrize("op", ["matmul", "add", "joint_linear"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        rng = np.random.default_rng(13)
+        const = Tensor(rng.standard_normal((3, 4, 5)))           # like the data window
+        if op == "matmul":
+            param = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        elif op == "add":
+            param = Tensor(rng.standard_normal((5,)), requires_grad=True)
+        else:
+            param = Tensor(rng.standard_normal((3, 5, 2)), requires_grad=True)
+        with Tape() as tape:
+            y = getattr(tz, op)(const, param)
+        (_, inputs, fn), = tape.ops
+        g_const, g_param = fn(np.ones_like(y.data))
+        assert g_const is None
+        assert g_param.shape == param.shape
+        with Tape() as tape:
+            loss = tz.tsum(getattr(tz, op)(const, param))
+        backward(loss, tape)
+        assert const.grad is None
+        assert param.grad is not None
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = tz.softmax_lastdim(Tensor([0.0, 0.0]))
@@ -174,6 +235,50 @@ class TestBackward:
             loss2 = tz.add(tz.tsum(tz.mul(x1, x1)), tz.tsum(tz.scale(x2, 3.0)))
         backward(loss2, tape2)
         np.testing.assert_allclose(x.grad, x1.grad + x2.grad)
+
+    def test_same_tensor_twice_gets_both_gradients(self):
+        x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        g = np.array([[1.0, -2.0], [0.5, 3.0]])
+        with Tape() as tape:
+            loss = tz.tsum(tz.mul(tz.add(x, x), Tensor(g)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, 2 * g)
+
+    def test_reshape_view_and_second_path_sum(self):
+        # reshape's backward (run first, as it was recorded last) hands back a
+        # view of r's gradient; the direct path must not write into that view
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=np.float64)
+        c1 = rng.standard_normal((3, 2))
+        c2 = rng.standard_normal((2, 3))
+        with Tape() as tape:
+            direct = tz.tsum(tz.mul(x, Tensor(c2)))
+            r = tz.reshape(x, (3, 2))
+            loss = tz.add(tz.tsum(tz.mul(r, Tensor(c1))), direct)
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + c2)
+        np.testing.assert_array_equal(r.grad, c1)
+
+    def test_model_param_grads_are_float32_and_unshared(self):
+        from stmotion import model as mo
+        cfg = mo.ModelConfig(n_joints=3, embed_dim=8, n_heads=2, n_layers=2, ff_size=16,
+                             window=8, dropout=0.1)
+        params = mo.init_params(cfg, np.random.default_rng(9))
+        x = np.random.default_rng(10).standard_normal((2, 8, 3, 9)).astype(np.float32)
+        with Tape() as tape:
+            pred, _, _ = mo.forward(params, cfg, x, training=True,
+                                    rng=np.random.default_rng(11))
+            loss = tz.tsum(tz.l2norm_lastdim(pred))
+        backward(loss, tape)
+        window = [t for _, inputs, _ in tape.ops for t in inputs
+                  if not (t.requires_grad or t.has_graph) and t.data.shape[-1] == 9]
+        assert window and all(t.grad is None for t in window)
+        grads = [(k, p.grad) for k, p in params.items()]
+        for k, g in grads:
+            assert g is not None and g.dtype == np.float32 and g.shape == params[k].shape, k
+        for i, (ka, ga) in enumerate(grads):
+            for kb, gb in grads[i + 1:]:
+                assert not np.shares_memory(ga, gb), (ka, kb)
 
     def test_tape_topological_order(self):
         x = Tensor(np.ones(3), requires_grad=True)
