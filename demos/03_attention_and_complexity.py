@@ -2,7 +2,7 @@
 
 Runs a forward pass through each architecture variant, prints the exported
 temporal/spatial attention maps' structure (causal triangles, row sums),
-and contrasts the attention-score counts and measured workspace of the
+and contrasts the attention-score counts and workspace estimate of the
 decoupled model against the joint space-time (full 2D) variant.
 
 Run:  python3 demos/03_attention_and_complexity.py

@@ -1,9 +1,7 @@
 """Command-line entry points: synth, train, eval, rollout, bench.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Every
-command is deterministic given identical flags, inputs and seeds. The
-environment variable ST_MOTION_THREADS caps BLAS worker threads and must be
-honored before numpy is imported, hence the early os.environ handling.
+command is deterministic given identical flags, inputs and seeds.
 """
 
 from __future__ import annotations
@@ -13,14 +11,9 @@ import os
 import sys
 import time
 
-_threads = os.environ.get("ST_MOTION_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from .errors import ConfigError, NumericError  # noqa: E402
+from .errors import ConfigError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -217,9 +210,13 @@ def cmd_bench(args) -> int:
         vals = [int(v) for v in part.split(",")]
         if len(vals) != 3:
             raise ConfigError("grid entries must be L,W,B triples")
+        if min(vals) < 1:
+            raise ConfigError(f"--grid entry {part!r}: L, W and B must be >= 1")
         triples.append(tuple(vals))
     if not triples:
         raise ConfigError("grid must be non-empty")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     budget = args.memory_budget * 1024 ** 2
     rng = np.random.default_rng(args.seed)
 

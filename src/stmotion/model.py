@@ -88,12 +88,14 @@ class AttentionMaps:
 
 @dataclass
 class ForwardStats:
-    """Instrumentation: attention-score counts and forward workspace size.
+    """Analytic cost of one forward pass, from the config and the input's
+    batch and window length; `forward` computes it after the pass.
 
     ``scores_per_layer`` holds, per layer, the number of attention scores
-    computed per head and batch element (ST: N*T^2 + T*N^2, 2D: (N*T)^2).
-    ``workspace_elements`` totals the elements of attention and feed-forward
-    intermediates over the whole forward pass.
+    computed per head and batch element (ST: N*T^2 + T*N^2, 1D: T^2, 2D:
+    (N*T)^2). ``workspace_elements`` totals the elements of the embedding,
+    attention and feed-forward intermediates over the whole pass:
+    projections, scores, weights, contexts and hidden layers.
     """
 
     scores_per_layer: list[int] = field(default_factory=list)
@@ -119,60 +121,56 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _uniform(rng, shape, fan_in, dtype) -> Tensor:
-    s = math.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-s, s, size=shape).astype(dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh trainable parameters. The output pose projection starts at zero,
-    so the untrained model reproduces the zero-velocity predictor."""
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in initialization order."""
     n, m, d, h, f, ff = (cfg.n_joints, cfg.joint_dim, cfg.embed_dim,
                          cfg.n_heads, cfg.head_dim, cfg.ff_size)
-    p: dict[str, Tensor] = {}
-    if cfg.variant == "vanilla_1d":
-        p["embed.w"] = _uniform(rng, (n * m, d), n * m, dtype)
-        p["embed.b"] = _zeros((d,), dtype)
-    else:
-        p["embed.w"] = _uniform(rng, (n, m, d), m, dtype)
-        p["embed.b"] = _zeros((n, d), dtype)
-
+    vanilla = cfg.variant == "vanilla_1d"
+    p = {"embed.w": (n * m, d) if vanilla else (n, m, d),
+         "embed.b": (d,) if vanilla else (n, d)}
     for l in range(cfg.n_layers):
         pre = f"l{l}."
         if cfg.variant == "st":
             for w in ("wq", "wk", "wv"):
-                p[pre + "t." + w] = _uniform(rng, (n, h, d, f), d, dtype)
-            p[pre + "t.wo"] = _uniform(rng, (n, h * f, d), h * f, dtype)
-            q_shape = (h, d, f) if cfg.spatial_sharing == "all_shared" else (n, h, d, f)
-            kv_shape = (n, h, d, f) if cfg.spatial_sharing == "all_separate" else (h, d, f)
-            p[pre + "s.wq"] = _uniform(rng, q_shape, d, dtype)
-            p[pre + "s.wk"] = _uniform(rng, kv_shape, d, dtype)
-            p[pre + "s.wv"] = _uniform(rng, kv_shape, d, dtype)
-            p[pre + "s.wo"] = _uniform(rng, (h * f, d), h * f, dtype)
+                p[pre + "t." + w] = (n, h, d, f)
+            p[pre + "t.wo"] = (n, h * f, d)
+            p[pre + "s.wq"] = (h, d, f) if cfg.spatial_sharing == "all_shared" else (n, h, d, f)
+            p[pre + "s.wk"] = p[pre + "s.wv"] = (
+                (n, h, d, f) if cfg.spatial_sharing == "all_separate" else (h, d, f))
+            p[pre + "s.wo"] = (h * f, d)
         else:
             for w in ("wq", "wk", "wv"):
-                p[pre + "a." + w] = _uniform(rng, (h, d, f), d, dtype)
-            p[pre + "a.wo"] = _uniform(rng, (h * f, d), h * f, dtype)
+                p[pre + "a." + w] = (h, d, f)
+            p[pre + "a.wo"] = (h * f, d)
 
         ff_names = ("ff_t", "ff_s") if (cfg.ff_per_branch and cfg.variant == "st") else ("ff",)
         for name in ff_names:
-            p[f"{pre}{name}.w1"] = _uniform(rng, (d, ff), d, dtype)
-            p[f"{pre}{name}.b1"] = _zeros((ff,), dtype)
-            p[f"{pre}{name}.w2"] = _uniform(rng, (ff, d), ff, dtype)
-            p[f"{pre}{name}.b2"] = _zeros((d,), dtype)
-        p[pre + "ln.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        p[pre + "ln.b"] = _zeros((d,), dtype)
+            p[f"{pre}{name}.w1"] = (d, ff)
+            p[f"{pre}{name}.b1"] = (ff,)
+            p[f"{pre}{name}.w2"] = (ff, d)
+            p[f"{pre}{name}.b2"] = (d,)
+        p[pre + "ln.g"] = (d,)
+        p[pre + "ln.b"] = (d,)
+    p["out.w"] = (d, n * m) if vanilla else (n, d, m)
+    p["out.b"] = (n * m,) if vanilla else (n, m)
+    return p
 
-    if cfg.variant == "vanilla_1d":
-        p["out.w"] = _zeros((d, n * m), dtype)
-        p["out.b"] = _zeros((n * m,), dtype)
-    else:
-        p["out.w"] = _zeros((n, d, m), dtype)
-        p["out.b"] = _zeros((n, m), dtype)
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    """Fresh trainable parameters: weight matrices uniform in +-1/sqrt(fan_in)
+    (fan-in is each matrix's input axis, the second to last), biases zero,
+    layer-norm gains one. The output pose projection starts at zero, so the
+    untrained model reproduces the zero-velocity predictor."""
+    p: dict[str, Tensor] = {}
+    for name, shape in _param_shapes(cfg).items():
+        if name.endswith(".g"):
+            data = np.ones(shape, dtype=dtype)
+        elif name.startswith("out.") or name.endswith((".b", ".b1", ".b2")):
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            s = math.sqrt(1.0 / shape[-2])
+            data = rng.uniform(-s, s, size=shape).astype(dtype)
+        p[name] = Tensor(data, requires_grad=True)
     return p
 
 
@@ -217,7 +215,7 @@ def _token_causal_keep(t: int, n: int, dtype) -> np.ndarray:
     return np.kron(frame_keep, np.ones((n, n), dtype=dtype))
 
 
-def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None, stats: ForwardStats):
+def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None):
     """Scaled dot-product attention over the last two dims of q/k/v.
 
     Returns (context, weights). `keep` is a 0/1 admissibility mask broadcast
@@ -226,7 +224,6 @@ def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None, stats: ForwardSt
     dtype = q.data.dtype
     scores = tz.scale(tz.matmul(q, tz.transpose(k, tuple(range(q.data.ndim - 2)) + (q.data.ndim - 1, q.data.ndim - 2))),
                       1.0 / math.sqrt(cfg.embed_dim))
-    stats.workspace_elements += scores.data.size
     if cfg.tau_mode == "softmax":
         if keep is not None:
             bias = np.where(keep > 0, dtype.type(0), dtype.type(_NEG_INF))
@@ -234,18 +231,7 @@ def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None, stats: ForwardSt
         weights = tz.softmax_lastdim(scores)
     else:
         weights = tz.normalize_rows(tz.relu(scores), keep=keep)
-    stats.workspace_elements += weights.data.size
-    ctx = tz.matmul(weights, v)
-    stats.workspace_elements += ctx.data.size
-    return ctx, weights
-
-
-def _project_heads(x: Tensor, w: Tensor, stats: ForwardStats, per_joint: bool = False) -> Tensor:
-    """x @ w with shared weights, or with `per_joint` the joint-major map
-    `tz.joint_linear` (x: (N, ..., D), one weight matrix per joint)."""
-    out = tz.joint_linear(x, w) if per_joint else tz.matmul(x, w)
-    stats.workspace_elements += out.data.size
-    return out
+    return tz.matmul(weights, v), weights
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +239,25 @@ def _project_heads(x: Tensor, w: Tensor, stats: ForwardStats, per_joint: bool = 
 # ---------------------------------------------------------------------------
 
 
-def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, stats: ForwardStats):
+def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     """Per-joint causal attention over time. ej: joint-major (N, B, T, D);
     returns (B, T, N, D)."""
     n, b, t, _ = ej.data.shape
     h, f = cfg.n_heads, cfg.head_dim
-    q = _project_heads(ej, p[pre + "t.wq"], stats, per_joint=True)  # (N, H, B, T, F)
-    k = _project_heads(ej, p[pre + "t.wk"], stats, per_joint=True)
-    v = _project_heads(ej, p[pre + "t.wv"], stats, per_joint=True)
-    keep = _causal_keep(t, ej.data.dtype)
-    ctx, weights = _attend(q, k, v, cfg, keep, stats)
+    q = tz.joint_linear(ej, p[pre + "t.wq"])  # (N, H, B, T, F)
+    k = tz.joint_linear(ej, p[pre + "t.wk"])
+    v = tz.joint_linear(ej, p[pre + "t.wv"])
+    ctx, weights = _attend(q, k, v, cfg, _causal_keep(t, ej.data.dtype))
     ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, t, h * f))
-    out = _project_heads(ctx, p[pre + "t.wo"], stats, per_joint=True)  # (N, B, T, D)
+    out = tz.joint_linear(ctx, p[pre + "t.wo"])  # (N, B, T, D)
     out = tz.transpose(out, (1, 2, 0, 3))
     # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints; summed
     # batch-major, so the maps do not depend on this stream's layout
     maps = np.ascontiguousarray(weights.data.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1))
-    return out, maps, n * t * t
+    return out, maps
 
 
-def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig,
-                    stats: ForwardStats):
+def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     """Unmasked attention among joints within a frame. e: (B, T, N, D), with
     its joint-major view ej: (N, B, T, D) for the per-joint projections."""
     b, t, n, d = e.data.shape
@@ -281,58 +265,53 @@ def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig,
 
     def project(name, per_joint):
         if per_joint:  # (N, H, B, T, F) -> (B, T, H, N, F)
-            return tz.transpose(_project_heads(ej, p[name], stats, per_joint=True),
-                                (2, 3, 1, 0, 4))
-        return _project_heads(shared, p[name], stats)
+            return tz.transpose(tz.joint_linear(ej, p[name]), (2, 3, 1, 0, 4))
+        return tz.matmul(shared, p[name])
 
     q = project(pre + "s.wq", cfg.spatial_sharing != "all_shared")
     k = project(pre + "s.wk", cfg.spatial_sharing == "all_separate")
     v = project(pre + "s.wv", cfg.spatial_sharing == "all_separate")
-    ctx, weights = _attend(q, k, v, cfg, None, stats)  # (B, T, H, N, F)
+    ctx, weights = _attend(q, k, v, cfg, None)  # (B, T, H, N, F)
     ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, d))
-    out = _project_heads(ctx, p[pre + "s.wo"], stats)  # (B, T, N, D)
+    out = tz.matmul(ctx, p[pre + "s.wo"])  # (B, T, N, D)
     maps = weights.data.mean(axis=(0, 1))  # (H, N, N)
-    return out, maps, t * n * n
+    return out, maps
 
 
-def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, keep: np.ndarray | None,
-                  stats: ForwardStats):
+def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, keep: np.ndarray | None):
     """Shared-weight attention over a flat token axis (vanilla and 2D paths).
 
     e: (B, S, D) with S tokens; keep is the (S, S) admissibility mask."""
     b, s, d = e.data.shape
     h, f = cfg.n_heads, cfg.head_dim
     er = tz.reshape(e, (b, 1, s, d))
-    q = _project_heads(er, p[pre + "a.wq"], stats)  # (B, H, S, F)
-    k = _project_heads(er, p[pre + "a.wk"], stats)
-    v = _project_heads(er, p[pre + "a.wv"], stats)
-    ctx, weights = _attend(q, k, v, cfg, keep, stats)
+    q = tz.matmul(er, p[pre + "a.wq"])  # (B, H, S, F)
+    k = tz.matmul(er, p[pre + "a.wk"])
+    v = tz.matmul(er, p[pre + "a.wv"])
+    ctx, weights = _attend(q, k, v, cfg, keep)
     ctx = tz.reshape(tz.transpose(ctx, (0, 2, 1, 3)), (b, s, h * f))
-    out = _project_heads(ctx, p[pre + "a.wo"], stats)  # (B, S, D)
-    return out, weights.data, s * s
+    out = tz.matmul(ctx, p[pre + "a.wo"])  # (B, S, D)
+    return out, weights.data
 
 
-def _feed_forward(x: Tensor, p: dict, name: str, stats: ForwardStats) -> Tensor:
+def _feed_forward(x: Tensor, p: dict, name: str) -> Tensor:
     hdn = tz.relu(tz.add(tz.matmul(x, p[name + ".w1"]), p[name + ".b1"]))
-    stats.workspace_elements += hdn.data.size
-    out = tz.add(tz.matmul(hdn, p[name + ".w2"]), p[name + ".b2"])
-    stats.workspace_elements += out.data.size
-    return out
+    return tz.add(tz.matmul(hdn, p[name + ".w2"]), p[name + ".b2"])
 
 
 def _aggregate(e_in: Tensor, summaries: list[Tensor], p: dict, pre: str, cfg: ModelConfig,
-               training: bool, rng, stats: ForwardStats) -> Tensor:
+               training: bool, rng) -> Tensor:
     """Sum the stream summaries, feed-forward, dropout, then post-norm with a
     residual from the block input. With ff_per_branch each summary passes its
     own feed-forward network before the sum (appendix-style reading)."""
     if cfg.ff_per_branch and cfg.variant == "st" and len(summaries) == 2:
-        s = tz.add(_feed_forward(summaries[0], p, pre + "ff_t", stats),
-                   _feed_forward(summaries[1], p, pre + "ff_s", stats))
+        s = tz.add(_feed_forward(summaries[0], p, pre + "ff_t"),
+                   _feed_forward(summaries[1], p, pre + "ff_s"))
     else:
         s = summaries[0]
         for extra in summaries[1:]:
             s = tz.add(s, extra)
-        s = _feed_forward(s, p, pre + "ff", stats)
+        s = _feed_forward(s, p, pre + "ff")
     s = tz.dropout(s, cfg.dropout, training, rng)
     return tz.layer_norm(tz.add(e_in, s), p[pre + "ln.g"], p[pre + "ln.b"])
 
@@ -362,7 +341,6 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     dtype = params["embed.w"].data.dtype
     x = x.astype(dtype, copy=False)
     d = cfg.embed_dim
-    stats = ForwardStats()
     maps = AttentionMaps()
     xt = Tensor(x)
 
@@ -377,7 +355,6 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         e = tz.transpose(tz.joint_linear(xj, params["embed.w"]), (1, 2, 0, 3))
         e = tz.add(e, params["embed.b"])
         e = tz.add(e, Tensor(pe[:, None, :]))
-    stats.workspace_elements += e.data.size
     e = tz.dropout(e, cfg.dropout, training, rng)
 
     token_keep = None
@@ -388,29 +365,23 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         pre = f"l{l}."
         if cfg.variant == "st":
             ej = tz.transpose(e, (2, 0, 1, 3))  # one joint-major view for both streams
-            t_out, t_map, t_scores = _temporal_stream(ej, params, pre, cfg, stats)
-            s_out, s_map, s_scores = _spatial_stream(e, ej, params, pre, cfg, stats)
+            t_out, t_map = _temporal_stream(ej, params, pre, cfg)
+            s_out, s_map = _spatial_stream(e, ej, params, pre, cfg)
             maps.temporal.append(t_map)
             maps.spatial.append(s_map)
-            stats.scores_per_layer.append(t_scores + s_scores)
-            e = _aggregate(e, [t_out, s_out], params, pre, cfg, training, rng, stats)
+            e = _aggregate(e, [t_out, s_out], params, pre, cfg, training, rng)
         elif cfg.variant == "vanilla_1d":
-            a_out, w, n_scores = _token_stream(e, params, pre, cfg,
-                                               _causal_keep(t, dtype), stats)
+            a_out, w = _token_stream(e, params, pre, cfg, _causal_keep(t, dtype))
             maps.temporal.append(w.mean(axis=0))  # (H, T, T)
-            stats.scores_per_layer.append(n_scores)
-            e = _aggregate(e, [a_out], params, pre, cfg, training, rng, stats)
+            e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         else:  # full_2d
-            flat_e = tz.reshape(e, (b, t * n, d))
-            a_out, w, n_scores = _token_stream(flat_e, params, pre, cfg,
-                                               token_keep, stats)
+            a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg, token_keep)
             a_out = tz.reshape(a_out, (b, t, n, d))
-            stats.scores_per_layer.append(n_scores)
             # (B, H, T, N, T, N): sum over attended axis, average the rest
             w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
             maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
             maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
-            e = _aggregate(e, [a_out], params, pre, cfg, training, rng, stats)
+            e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         if not np.all(np.isfinite(e.data)):
             raise NumericError(f"non-finite embeddings after attention block {l}")
 
@@ -426,7 +397,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         raise NumericError("non-finite values in final pose projection")
     if squeeze:
         pred = tz.reshape(pred, (t, n, m))
-    return pred, maps, stats
+    return pred, maps, _forward_stats(cfg, b, t)
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
@@ -513,33 +484,27 @@ def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
             fh.close()
 
 
+def _forward_stats(cfg: ModelConfig, b: int, t: int) -> ForwardStats:
+    """ForwardStats of a forward pass over B windows of T frames."""
+    n, d = cfg.n_joints, cfg.embed_dim
+    if cfg.variant == "st":
+        scores = n * t * t + t * n * n
+    else:
+        scores = (n * t) ** 2 if cfg.variant == "full_2d" else t * t
+    tokens = b * t * (1 if cfg.variant == "vanilla_1d" else n)
+    streams = 2 if cfg.variant == "st" else 1
+    ff_nets = 2 if cfg.variant == "st" and cfg.ff_per_branch else 1
+    per_layer = (streams * 5 * tokens * d                # Q, K, V, A@V, out projection
+                 + 2 * b * cfg.n_heads * scores         # scores and weights
+                 + ff_nets * tokens * (cfg.ff_size + d))  # feed-forward hidden and output
+    return ForwardStats([scores] * cfg.n_layers, tokens * d + cfg.n_layers * per_layer)
+
+
 def estimate_workspace_elements(cfg: ModelConfig, batch: int, t: int | None = None) -> int:
-    """Analytic estimate of forward workspace elements, mirroring the
-    intermediates counted in ForwardStats. Used for memory budgeting."""
-    t = cfg.window if t is None else t
-    n, d, h = cfg.n_joints, cfg.embed_dim, cfg.n_heads
-    b = batch
-    e_size = b * t * n * d if cfg.variant != "vanilla_1d" else b * t * d
-    total = e_size
-    for _ in range(cfg.n_layers):
-        if cfg.variant == "st":
-            total += 2 * (3 * b * t * n * d)              # temporal + spatial Q,K,V
-            total += 2 * b * h * (n * t * t + t * n * n)  # scores and weights
-            total += 2 * b * t * n * d                    # A@V contexts
-            total += 2 * b * t * n * d                    # head output projections
-            total += b * t * n * cfg.ff_size + b * t * n * d
-        elif cfg.variant == "full_2d":
-            s = t * n
-            total += 3 * b * h * s * (d // h)
-            total += 2 * b * h * s * s + b * h * s * (d // h)
-            total += b * s * d
-            total += b * s * cfg.ff_size + b * s * d
-        else:
-            total += 3 * b * h * t * (d // h)
-            total += 2 * b * h * t * t + b * h * t * (d // h)
-            total += b * t * d
-            total += b * t * cfg.ff_size + b * t * d
-    return total
+    """Forward workspace elements for a batch of T-frame windows (default T:
+    the configured window), as `forward` reports them in ForwardStats. Used
+    for memory budgeting."""
+    return _forward_stats(cfg, batch, cfg.window if t is None else t).workspace_elements
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +519,22 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]):
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """Read a checkpoint; its tensor names and shapes must be exactly those
+    `init_params` makes for the header's config, else ConfigError."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8").strip()
         cfg = ModelConfig.from_json(header)
         arrays = tz.load_tensors(fh)
+    want = _param_shapes(cfg)
+    for name in sorted(want.keys() | arrays.keys()):
+        if name not in arrays:
+            problem = "is missing"
+        elif name not in want:
+            problem = "is not a parameter of its config"
+        elif arrays[name].shape != want[name]:
+            problem = f"has shape {arrays[name].shape}, its config needs {want[name]}"
+        else:
+            continue
+        raise ConfigError(f"checkpoint {path}: tensor {name!r} {problem}")
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     return cfg, params

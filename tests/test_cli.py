@@ -177,6 +177,21 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--n-windows" in err[0]
 
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_checkpoint_missing_tensor_is_usage_error(self, workdir, tmp_path, capsys,
+                                                      command):
+        cfg, params = model.load_checkpoint(workdir / "run" / "best.stt1")
+        del params["l0.ln.g"]
+        ckpt = tmp_path / "broken.stt1"
+        model.save_checkpoint(ckpt, cfg, params)
+        data = str(workdir / "data.stm1")
+        args = (["--data", data] if command == "eval"
+                else ["--seed-file", data, "--seconds", "0.05"])
+        assert cli.main([command, "--checkpoint", str(ckpt), *args,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'l0.ln.g' is missing" in err[0]
+
 
 class TestRollout:
     def test_writes_prediction_motion(self, workdir, tmp_path):
@@ -260,6 +275,17 @@ class TestBench:
     def test_bad_grid(self, tmp_path):
         assert cli.main(["bench", "--variant", "st", "--grid", "1,2",
                          "--out", str(tmp_path / "b.csv")]) == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--repeats", "0"], "--repeats"),
+        (["--grid", "2,0,2"], "--grid"),
+    ], ids=["repeats", "grid"])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "b.csv"
+        assert cli.main(["bench", "--variant", "st", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
+        assert not out.exists()
 
 
 class TestParsing:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -142,12 +143,34 @@ class TestScoreCounters:
             _, _, stats = mo.forward(params, cfg, rand_window(cfg))
             assert stats.scores_per_layer == [expect] * cfg.n_layers
 
-    def test_workspace_estimate_matches_instrumentation(self):
-        for variant in mo.VARIANTS:
-            cfg = tiny_cfg(variant=variant)
-            params = mo.init_params(cfg, np.random.default_rng(7))
-            _, _, stats = mo.forward(params, cfg, rand_window(cfg, b=2))
-            assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2, 8)
+    @pytest.mark.parametrize("kw", [
+        dict(variant="st"), dict(variant="vanilla_1d"), dict(variant="full_2d"),
+        dict(ff_per_branch=True), dict(spatial_sharing="all_shared"),
+        dict(spatial_sharing="all_separate"), dict(tau_mode="sum_normalize"),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_workspace_matches_measured_ops(self, kw, monkeypatch):
+        # measured: output sizes of every projection, score, weight and
+        # context op of the pass, minus the final pose projection
+        sizes = {"weights": 0, "all": 0}
+
+        def spy(fn, kind):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                sizes["all"] += out.data.size
+                sizes["weights"] += out.data.size if kind == "weights" else 0
+                return out
+            return wrapped
+
+        for name, kind in (("matmul", "op"), ("joint_linear", "op"),
+                           ("softmax_lastdim", "weights"), ("normalize_rows", "weights")):
+            monkeypatch.setattr(tz, name, spy(getattr(tz, name), kind))
+        cfg = tiny_cfg(**kw)
+        params = mo.init_params(cfg, np.random.default_rng(7))
+        x = rand_window(cfg, b=2)
+        _, _, stats = mo.forward(params, cfg, x)
+        assert stats.workspace_elements == sizes["all"] - x.size
+        assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2, 8)
+        assert sizes["weights"] == 2 * cfg.n_heads * sum(stats.scores_per_layer)
 
     def test_decoupled_cheaper_than_full_2d(self):
         n, t = 9, 32
@@ -462,6 +485,24 @@ class TestCheckpoint:
         for k in params:
             np.testing.assert_array_equal(params2[k].data, params[k].data)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("l1.ln.g"), "tensor 'l1.ln.g' is missing"),
+        (lambda p: p.update(extra=np.zeros(3, np.float32)),
+         "tensor 'extra' is not a parameter of its config"),
+        (lambda p: p.update({"l0.t.wq": p["l0.t.wq"][:, :1]}),
+         "tensor 'l0.t.wq' has shape (3, 1, 8, 4), its config needs (3, 2, 8, 4)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_tensors_must_match_config(self, tmp_path, edit, message):
+        cfg = tiny_cfg()
+        arrays = {k: v.data for k, v in mo.init_params(cfg, np.random.default_rng(33)).items()}
+        edit(arrays)
+        p = tmp_path / "model.stt1"
+        with open(p, "wb") as fh:
+            fh.write(cfg.to_json().encode("utf-8") + b"\n")
+            tz.save_tensors(fh, arrays)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            mo.load_checkpoint(p)
+
     def test_attention_csv(self, tmp_path):
         cfg = tiny_cfg(n_layers=1)
         params = mo.init_params(cfg, np.random.default_rng(32))
@@ -551,13 +592,11 @@ class TestSpecHandCases:
             "l0.a.wo": Tensor(st_params["l0.t.wo"].data[0]),
         }
         e = Tensor(rng.standard_normal((2, 6, 1, d)).astype(np.float32))
-        stats = mo.ForwardStats()
         ej = tz.transpose(e, (2, 0, 1, 3))  # joint-major (N, B, T, D)
-        t_out, _, _ = mo._temporal_stream(ej, st_params, "l0.", cfg, stats)
+        t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg)
         flat = Tensor(e.data.reshape(2, 6, d))
-        a_out, _, _ = mo._token_stream(flat, p2, "l0.", cfg,
-                                       mo._token_causal_keep(6, 1, np.float32),
-                                       stats)
+        a_out, _ = mo._token_stream(flat, p2, "l0.", cfg,
+                                    mo._token_causal_keep(6, 1, np.float32))
         np.testing.assert_allclose(t_out.data.reshape(2, 6, d), a_out.data,
                                    atol=1e-5)
 
@@ -567,9 +606,7 @@ class TestSpecHandCases:
         one = np.random.default_rng(44).standard_normal(
             (1, 4, 1, cfg.embed_dim)).astype(np.float32)
         e = Tensor(np.tile(one, (1, 1, cfg.n_joints, 1)))
-        stats = mo.ForwardStats()
-        _, maps, _ = mo._spatial_stream(e, tz.transpose(e, (2, 0, 1, 3)), params, "l0.",
-                                        cfg, stats)
+        _, maps = mo._spatial_stream(e, tz.transpose(e, (2, 0, 1, 3)), params, "l0.", cfg)
         np.testing.assert_allclose(maps, 1.0 / cfg.n_joints, atol=1e-6)
 
     def test_rollout_single_step_is_projected_forward_row(self):
