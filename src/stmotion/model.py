@@ -18,9 +18,10 @@ tokens with causal masking on the time axis only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -74,7 +75,15 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, s: str) -> "ModelConfig":
-        return cls(**json.loads(s))
+        """Inverse of `to_json`; every field must be present, and no other."""
+        values = json.loads(s)
+        if not isinstance(values, dict):
+            raise ConfigError("model config must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        for problem, keys in (("unknown", values.keys() - names), ("missing", names - values.keys())):
+            if keys:
+                raise ConfigError(f"model config has {problem} keys {sorted(keys)}")
+        return cls(**values)
 
 
 @dataclass
@@ -95,7 +104,8 @@ class ForwardStats:
     computed per head and batch element (ST: N*T^2 + T*N^2, 1D: T^2, 2D:
     (N*T)^2). ``workspace_elements`` totals the elements of the embedding,
     attention and feed-forward intermediates over the whole pass:
-    projections, scores, weights, contexts and hidden layers.
+    projections, attention weights (which overwrite the scores in place),
+    contexts and hidden layers.
     """
 
     scores_per_layer: list[int] = field(default_factory=list)
@@ -204,34 +214,26 @@ def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 
-def _causal_keep(t: int, dtype) -> np.ndarray:
-    return np.tril(np.ones((t, t), dtype=dtype))
+@functools.lru_cache(maxsize=8)
+def _causal_mask(t: int, n: int, dtype, tau_mode: str) -> np.ndarray:
+    """Read-only (T*N, T*N) causal mask over t-major joint-time tokens (n=1:
+    frames): token (t, n) may attend to (t', n') iff t' <= t. The 0/1 keep
+    mask for sum_normalize, its additive bias for softmax; built once per
+    (T, N, dtype)."""
+    dtype = np.dtype(dtype)
+    mask = np.kron(np.tril(np.ones((t, t), dtype=dtype)), np.ones((n, n), dtype=dtype))
+    if tau_mode == "softmax":
+        mask = np.where(mask > 0, dtype.type(0), dtype.type(_NEG_INF))
+    mask.flags.writeable = False
+    return mask
 
 
-def _token_causal_keep(t: int, n: int, dtype) -> np.ndarray:
-    """(T*N, T*N) keep mask over t-major joint-time tokens: token (t, n) may
-    attend to (t', n') iff t' <= t."""
-    frame_keep = _causal_keep(t, dtype)
-    return np.kron(frame_keep, np.ones((n, n), dtype=dtype))
-
-
-def _attend(q, k, v, cfg: ModelConfig, keep: np.ndarray | None):
-    """Scaled dot-product attention over the last two dims of q/k/v.
-
-    Returns (context, weights). `keep` is a 0/1 admissibility mask broadcast
-    over the score matrix; None means unmasked. Scores are scaled by
-    1/sqrt(D) (the joint embedding size, not the head size)."""
-    dtype = q.data.dtype
-    scores = tz.scale(tz.matmul(q, tz.transpose(k, tuple(range(q.data.ndim - 2)) + (q.data.ndim - 1, q.data.ndim - 2))),
-                      1.0 / math.sqrt(cfg.embed_dim))
-    if cfg.tau_mode == "softmax":
-        if keep is not None:
-            bias = np.where(keep > 0, dtype.type(0), dtype.type(_NEG_INF))
-            scores = tz.add(scores, Tensor(bias))
-        weights = tz.softmax_lastdim(scores)
-    else:
-        weights = tz.normalize_rows(tz.relu(scores), keep=keep)
-    return tz.matmul(weights, v), weights
+def _attend(q, k, v, cfg: ModelConfig, mask: np.ndarray | None):
+    """Scaled dot-product attention over the last two dims of q/k/v, one
+    fused engine op. Returns (context Tensor, weights ndarray). `mask` is a
+    `_causal_mask` or None (unmasked). Scores are scaled by 1/sqrt(D) (the
+    joint embedding size, not the head size)."""
+    return tz.attention(q, k, v, 1.0 / math.sqrt(cfg.embed_dim), mask, cfg.tau_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +249,13 @@ def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     q = tz.joint_linear(ej, p[pre + "t.wq"])  # (N, H, B, T, F)
     k = tz.joint_linear(ej, p[pre + "t.wk"])
     v = tz.joint_linear(ej, p[pre + "t.wv"])
-    ctx, weights = _attend(q, k, v, cfg, _causal_keep(t, ej.data.dtype))
+    ctx, weights = _attend(q, k, v, cfg, _causal_mask(t, 1, ej.data.dtype, cfg.tau_mode))
     ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, t, h * f))
     out = tz.joint_linear(ctx, p[pre + "t.wo"])  # (N, B, T, D)
     out = tz.transpose(out, (1, 2, 0, 3))
     # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints; summed
     # batch-major, so the maps do not depend on this stream's layout
-    maps = np.ascontiguousarray(weights.data.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1))
+    maps = np.ascontiguousarray(weights.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1))
     return out, maps
 
 
@@ -274,24 +276,24 @@ def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     ctx, weights = _attend(q, k, v, cfg, None)  # (B, T, H, N, F)
     ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, d))
     out = tz.matmul(ctx, p[pre + "s.wo"])  # (B, T, N, D)
-    maps = weights.data.mean(axis=(0, 1))  # (H, N, N)
+    maps = weights.mean(axis=(0, 1))  # (H, N, N)
     return out, maps
 
 
-def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, keep: np.ndarray | None):
+def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, mask: np.ndarray | None):
     """Shared-weight attention over a flat token axis (vanilla and 2D paths).
 
-    e: (B, S, D) with S tokens; keep is the (S, S) admissibility mask."""
+    e: (B, S, D) with S tokens; mask is the (S, S) `_causal_mask`."""
     b, s, d = e.data.shape
     h, f = cfg.n_heads, cfg.head_dim
     er = tz.reshape(e, (b, 1, s, d))
     q = tz.matmul(er, p[pre + "a.wq"])  # (B, H, S, F)
     k = tz.matmul(er, p[pre + "a.wk"])
     v = tz.matmul(er, p[pre + "a.wv"])
-    ctx, weights = _attend(q, k, v, cfg, keep)
+    ctx, weights = _attend(q, k, v, cfg, mask)
     ctx = tz.reshape(tz.transpose(ctx, (0, 2, 1, 3)), (b, s, h * f))
     out = tz.matmul(ctx, p[pre + "a.wo"])  # (B, S, D)
-    return out, weights.data
+    return out, weights
 
 
 def _feed_forward(x: Tensor, p: dict, name: str) -> Tensor:
@@ -357,10 +359,6 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         e = tz.add(e, Tensor(pe[:, None, :]))
     e = tz.dropout(e, cfg.dropout, training, rng)
 
-    token_keep = None
-    if cfg.variant == "full_2d":
-        token_keep = _token_causal_keep(t, n, dtype)
-
     for l in range(cfg.n_layers):
         pre = f"l{l}."
         if cfg.variant == "st":
@@ -371,11 +369,12 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
             maps.spatial.append(s_map)
             e = _aggregate(e, [t_out, s_out], params, pre, cfg, training, rng)
         elif cfg.variant == "vanilla_1d":
-            a_out, w = _token_stream(e, params, pre, cfg, _causal_keep(t, dtype))
+            a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1, dtype, cfg.tau_mode))
             maps.temporal.append(w.mean(axis=0))  # (H, T, T)
             e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         else:  # full_2d
-            a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg, token_keep)
+            a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg,
+                                     _causal_mask(t, n, dtype, cfg.tau_mode))
             a_out = tz.reshape(a_out, (b, t, n, d))
             # (B, H, T, N, T, N): sum over attended axis, average the rest
             w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
@@ -495,7 +494,7 @@ def _forward_stats(cfg: ModelConfig, b: int, t: int) -> ForwardStats:
     streams = 2 if cfg.variant == "st" else 1
     ff_nets = 2 if cfg.variant == "st" and cfg.ff_per_branch else 1
     per_layer = (streams * 5 * tokens * d                # Q, K, V, A@V, out projection
-                 + 2 * b * cfg.n_heads * scores         # scores and weights
+                 + b * cfg.n_heads * scores             # weights (the scores' buffer)
                  + ff_nets * tokens * (cfg.ff_size + d))  # feed-forward hidden and output
     return ForwardStats([scores] * cfg.n_layers, tokens * d + cfg.n_layers * per_layer)
 
@@ -522,8 +521,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Read a checkpoint; its tensor names and shapes must be exactly those
     `init_params` makes for the header's config, else ConfigError."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8").strip()
-        cfg = ModelConfig.from_json(header)
+        try:
+            cfg = ModelConfig.from_json(fh.readline().decode("utf-8"))
+        except ValueError as err:  # UTF-8, JSON or field errors
+            raise ConfigError(f"checkpoint {path}: config header: {err}") from None
         arrays = tz.load_tensors(fh)
     want = _param_shapes(cfg)
     for name in sorted(want.keys() | arrays.keys()):

@@ -8,10 +8,14 @@ Without an active tape, operations are plain numpy calls.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import ConfigError
 
 DEFAULT_DTYPE = np.float32
 
@@ -31,8 +35,7 @@ __all__ = [
     "relu",
     "reshape",
     "transpose",
-    "softmax_lastdim",
-    "normalize_rows",
+    "attention",
     "layer_norm",
     "dropout",
     "tsum",
@@ -69,21 +72,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar used throughout the model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -271,51 +259,89 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Numerically stabilized softmax along the last dimension."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
-
-    return _record(out, (x,), bwd)
+# Last-axis length up to which a loop of np.maximum over the columns finds the
+# row max faster than numpy's reduction (which is slow over a short contiguous
+# axis); beyond it the strided column reads lose.
+_ROW_MAX_LOOP_LEN = 48
 
 
-def normalize_rows(r: Tensor, keep: np.ndarray | None = None, eps: float = 1e-8) -> Tensor:
-    """Divide each last-dim row of the non-negative input by its sum.
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), bit for bit except the sign of a zero
+    max, after which exp(x - max) is the same."""
+    if x.shape[-1] > _ROW_MAX_LOOP_LEN:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
 
-    `keep` is a 0/1 mask of admissible entries (broadcastable to r). Rows whose
-    sum falls below eps get a uniform distribution over kept entries and a zero
-    gradient. Realizes the sum-normalization attention without softmax.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None,
+              tau: str = "softmax"):
+    """Fused attention over the last two axes: context = tau(q @ k^T * scale) @ v.
+
+    tau "softmax": `mask` is an additive bias broadcast over the scores (0
+    where admissible, a large negative value elsewhere); rows are shifted by
+    their max before exp. tau "sum_normalize": `mask` is a 0/1 keep mask;
+    relu(scores) * keep is divided by its row sum, and a row whose sum is at
+    most 1e-8 gets a uniform distribution over its kept entries and a zero
+    gradient. mask None: unmasked.
+
+    Returns (context Tensor, weights ndarray). The weights overwrite the score
+    buffer in place and are read-only; the op records one Tape entry.
     """
-    r = _as_tensor(r)
-    data = r.data if keep is None else r.data * keep
-    rs = data.sum(axis=-1, keepdims=True)
-    ok = rs > eps
-    safe_rs = np.where(ok, rs, 1.0)
-    if keep is None:
-        n_keep = data.shape[-1]
-        uniform = np.full_like(data, 1.0 / n_keep)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if tau not in ("softmax", "sum_normalize"):
+        raise ValueError(f"unknown attention tau {tau!r}")
+    c = q.data.dtype.type(scale)
+    w = q.data @ np.swapaxes(k.data, -1, -2)
+    w *= c
+    if tau == "softmax":
+        if mask is not None:
+            w += mask
+        w -= _row_max(w)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
     else:
-        keep_b = np.broadcast_to(keep, data.shape).astype(data.dtype)
-        uniform = keep_b / keep_b.sum(axis=-1, keepdims=True)
-    y = np.where(ok, data / safe_rs, uniform)
-    out = Tensor(y)
+        positive = w > 0                  # relu's gradient mask
+        np.maximum(w, 0, out=w)
+        if mask is not None:
+            w *= mask
+        rs = w.sum(axis=-1, keepdims=True)
+        ok = rs > 1e-8
+        safe_rs = np.where(ok, rs, 1.0)
+        w /= safe_rs
+        if not ok.all():
+            keep = np.ones(w.shape[-1], w.dtype) if mask is None else mask
+            keep = np.broadcast_to(keep, w.shape).astype(w.dtype)
+            np.copyto(w, keep / keep.sum(axis=-1, keepdims=True), where=~ok)
+    w.flags.writeable = False
+    out = Tensor(w @ v.data)
 
     def bwd(g):
-        gk = g if keep is None else g * keep
-        dot = (gk * y).sum(axis=-1, keepdims=True)
-        grad = np.where(ok, (gk - dot) / safe_rs, 0.0).astype(r.data.dtype)
-        if keep is not None:
-            grad = grad * keep
-        return (grad,)
+        gv = _unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape) if _needs(v) else None
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        if tau == "softmax":
+            gs -= (gs * w).sum(axis=-1, keepdims=True)
+            gs *= w
+        else:
+            if mask is not None:
+                gs *= mask
+            gs -= (gs * w).sum(axis=-1, keepdims=True)
+            gs /= safe_rs
+            if not ok.all():
+                gs *= ok
+            if mask is not None:
+                gs *= mask
+            gs *= positive
+        gs *= c
+        gq = _unbroadcast(gs @ k.data, q.data.shape) if _needs(q) else None
+        # (q^T gs)^T, not gs^T q: the same sums as the unfused matmul backward
+        gk = (_unbroadcast(np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2), k.data.shape)
+              if _needs(k) else None)
+        return gq, gk, gv
 
-    return _record(out, (r,), bwd)
+    return _record(out, (q, k, v), bwd), w
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -466,19 +492,34 @@ def save_tensors(fh, named: dict[str, np.ndarray]):
         fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """Exactly n bytes of the seekable fh. A length beyond the bytes left is a
+    ConfigError naming `what`, raised before anything is read."""
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if n > left:
+        raise ConfigError(f"{what}: needs {n} bytes, the file has {left} left")
+    return fh.read(n)
+
+
 def load_tensors(fh) -> dict[str, np.ndarray]:
-    if fh.read(4) != _MAGIC:
-        raise ValueError("not an STT1 tensor file")
+    """Read what `save_tensors` wrote; a malformed or truncated file is a
+    ConfigError naming the file and the field."""
+    src = getattr(fh, "name", "tensor file")
+    raw = fh.read()
+    buf = io.BytesIO(raw)  # in memory: the length checks cost no syscalls
+    if buf.read(4) != _MAGIC:
+        raise ConfigError(f"{src}: not an STT1 tensor file")
     out: dict[str, np.ndarray] = {}
-    while True:
-        head = fh.read(4)
-        if not head:
-            break
-        (name_len,) = struct.unpack("<I", head)
-        name = fh.read(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
-        out[name] = data.copy()
+    while buf.tell() < len(raw):
+        where = f"{src}: tensor record {len(out)}"
+        (name_len,) = struct.unpack("<I", _read_exact(buf, 4, where + " name length"))
+        name = _read_exact(buf, name_len, where + " name").decode("utf-8", "replace")
+        where = f"{src}: tensor {name!r}"
+        (rank,) = struct.unpack("<I", _read_exact(buf, 4, where + " rank"))
+        dims = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, where + " dims"))
+        count = math.prod(dims)
+        data = np.frombuffer(_read_exact(buf, 4 * count, where + " values"), dtype="<f4")
+        out[name] = data.reshape(dims).copy()
     return out

@@ -245,6 +245,26 @@ class TestRollout:
                          "--seed-file", str(seed_file), "--seconds", "0.1",
                          "--out", str(tmp_path / "p.stm1")]) == 2
 
+    @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header"])
+    def test_damaged_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, damage):
+        blob = (workdir / "run" / "best.stt1").read_bytes()
+        header, tensors = blob.split(b"\n", 1)
+        if damage == "unknown_key":
+            values = json.loads(header)
+            values["n_layer"] = 1
+            blob = json.dumps(values).encode() + b"\n" + tensors
+            named = "unknown keys ['n_layer']"
+        else:  # inside the first record's name length
+            blob = blob[:len(header) + 1 + 4 + 2]
+            named = "tensor record 0 name length"
+        ckpt = tmp_path / "damaged.stt1"
+        ckpt.write_bytes(blob)
+        assert cli.main(["rollout", "--checkpoint", str(ckpt),
+                         "--seed-file", str(workdir / "data.stm1"), "--seconds", "0.05",
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0] and str(ckpt) in err[0]
+
 
 class TestBench:
     def test_grid_and_formulas(self, tmp_path):

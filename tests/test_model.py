@@ -1,5 +1,7 @@
 import io
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ class TestConfig:
     def test_json_roundtrip(self):
         cfg = tiny_cfg(tau_mode="sum_normalize", ff_per_branch=True)
         assert mo.ModelConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(n_layer=1), "unknown keys ['n_layer']"),
+        (lambda d: d.pop("window"), "missing keys ['window']"),
+    ], ids=["unknown", "missing"])
+    def test_json_keys_must_be_the_fields(self, edit, message):
+        values = json.loads(tiny_cfg().to_json())
+        edit(values)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            mo.ModelConfig.from_json(json.dumps(values))
 
 
 class TestPositionalEncoding:
@@ -149,21 +161,23 @@ class TestScoreCounters:
         dict(spatial_sharing="all_separate"), dict(tau_mode="sum_normalize"),
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_workspace_matches_measured_ops(self, kw, monkeypatch):
-        # measured: output sizes of every projection, score, weight and
-        # context op of the pass, minus the final pose projection
+        # measured: output sizes of every projection, weight and context op
+        # of the pass, minus the final pose projection; the fused attention
+        # op's scores share the weights' buffer
         sizes = {"weights": 0, "all": 0}
 
-        def spy(fn, kind):
+        def spy(fn):
             def wrapped(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                sizes["all"] += out.data.size
-                sizes["weights"] += out.data.size if kind == "weights" else 0
+                if isinstance(out, tuple):  # attention: (context, weights)
+                    sizes["weights"] += out[1].size
+                    sizes["all"] += out[1].size
+                sizes["all"] += (out[0] if isinstance(out, tuple) else out).data.size
                 return out
             return wrapped
 
-        for name, kind in (("matmul", "op"), ("joint_linear", "op"),
-                           ("softmax_lastdim", "weights"), ("normalize_rows", "weights")):
-            monkeypatch.setattr(tz, name, spy(getattr(tz, name), kind))
+        for name in ("matmul", "joint_linear", "attention"):
+            monkeypatch.setattr(tz, name, spy(getattr(tz, name)))
         cfg = tiny_cfg(**kw)
         params = mo.init_params(cfg, np.random.default_rng(7))
         x = rand_window(cfg, b=2)
@@ -289,6 +303,48 @@ class TestGradients:
             assert err < 1e-4, f"{variant}:{name} grad error {err}"
 
 
+class TestCausalMasks:
+    @pytest.mark.parametrize("t,n", [(1, 1), (6, 1), (4, 3), (6, 2), (12, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_masks_match_the_keep_they_replace(self, t, n, dtype):
+        # token (t, n) may attend to (t', n') iff t' <= t, whatever n and n'
+        frame = np.repeat(np.arange(t), n)
+        keep = (frame[None, :] <= frame[:, None]).astype(dtype)
+        got_keep = mo._causal_mask(t, n, dtype, "sum_normalize")
+        bias = mo._causal_mask(t, n, dtype, "softmax")
+        assert got_keep.dtype == bias.dtype == dtype
+        np.testing.assert_array_equal(got_keep, keep)
+        np.testing.assert_array_equal(bias, np.where(keep > 0, 0, mo._NEG_INF).astype(dtype))
+        assert not got_keep.flags.writeable and not bias.flags.writeable
+        assert mo._causal_mask(t, n, dtype, "softmax") is bias
+
+    @pytest.mark.parametrize("tau", ["softmax", "sum_normalize"])
+    def test_full_2d_tokens_see_their_whole_frame_and_no_later_frame(self, tau, monkeypatch):
+        # a plain lower-triangular mask over the T*N tokens is also causal,
+        # but hides the later joints of a token's own frame
+        weights = []
+        attention = tz.attention
+
+        def spy(*args, **kwargs):
+            ctx, w = attention(*args, **kwargs)
+            weights.append(w)
+            return ctx, w
+
+        monkeypatch.setattr(tz, "attention", spy)
+        cfg = tiny_cfg(variant="full_2d", tau_mode=tau)
+        params = mo.init_params(cfg, np.random.default_rng(46))
+        t, n = 5, cfg.n_joints
+        mo.forward(params, cfg, rand_window(cfg, t=t, seed=47))
+        assert len(weights) == cfg.n_layers
+        for w in weights:
+            w6 = w.reshape(w.shape[:2] + (t, n, t, n))  # (B, H, t, n, t', n')
+            for f in range(t):
+                assert np.all(w6[:, :, f, :, f + 1:, :] == 0)
+                if tau == "softmax":  # relu may zero a sum_normalize weight
+                    assert np.all(w6[:, :, f, :, f, :] > 0)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
+
+
 class TestTapeSize:
     def test_desk_training_step_op_count(self):
         # every recorded op costs Python overhead per call, and batch-1
@@ -302,7 +358,7 @@ class TestTapeSize:
             pred, _, _ = mo.forward(params, cfg, x, training=True,
                                     rng=np.random.default_rng(20))
             loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
-        assert len(tape.ops) <= 86
+        assert len(tape.ops) <= 68
 
 
 class TestSharingAblations:
@@ -503,6 +559,23 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=re.escape(message)):
             mo.load_checkpoint(p)
 
+    def test_every_truncation_is_a_config_error_naming_the_file(self, tmp_path):
+        cfg = tiny_cfg(n_layers=1)
+        p = tmp_path / "model.stt1"
+        mo.save_checkpoint(p, cfg, mo.init_params(cfg, np.random.default_rng(34)))
+        blob = p.read_bytes()
+        cut = tmp_path / "cut.stt1"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(ConfigError, match=re.escape(str(cut))):
+                mo.load_checkpoint(cut)
+
+    def test_declared_length_is_checked_before_reading(self):
+        record = struct.pack("<I", 1) + b"w" + struct.pack("<3I", 2, 65535, 65535)
+        buf = io.BytesIO(b"STT1" + record + b"\0" * 16)
+        with pytest.raises(ConfigError, match=re.escape("tensor 'w' values: needs 17179344900")):
+            tz.load_tensors(buf)
+
     def test_attention_csv(self, tmp_path):
         cfg = tiny_cfg(n_layers=1)
         params = mo.init_params(cfg, np.random.default_rng(32))
@@ -596,7 +669,7 @@ class TestSpecHandCases:
         t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg)
         flat = Tensor(e.data.reshape(2, 6, d))
         a_out, _ = mo._token_stream(flat, p2, "l0.", cfg,
-                                    mo._token_causal_keep(6, 1, np.float32))
+                                    mo._causal_mask(6, 1, np.float32, cfg.tau_mode))
         np.testing.assert_allclose(t_out.data.reshape(2, 6, d), a_out.data,
                                    atol=1e-5)
 

@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stmotion import tensor as tz
 from stmotion.tensor import Tape, Tensor, backward, finite_diff_check
@@ -9,6 +12,16 @@ from stmotion.tensor import Tape, Tensor, backward, finite_diff_check
 
 def f64(x):
     return Tensor(np.asarray(x, dtype=np.float64))
+
+
+def tau(scores, mask=None, mode="softmax"):
+    """Attention weights for the given last-axis scores: with k = v = I and
+    scale 1, tz.attention's score matrix is `scores` and its context is the
+    weights. A Tensor `scores` keeps its gradient path."""
+    scores = scores if isinstance(scores, Tensor) else Tensor(scores)
+    eye = Tensor(np.eye(scores.shape[-1], dtype=scores.dtype))
+    ctx, _ = tz.attention(scores, eye, eye, 1.0, mask, mode)
+    return ctx
 
 
 class TestMatmul:
@@ -109,36 +122,140 @@ class TestJointLinear:
 
 
 class TestSoftmax:
+    """The softmax tau of tz.attention, driven through its scores."""
+
     def test_symmetry(self):
-        out = tz.softmax_lastdim(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        out = tau(np.float32([[0.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_mask_saturation(self):
-        out = tz.softmax_lastdim(Tensor([-1e9, 0.0]))
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-6)
+        bias = np.float32([[-1e9, 0.0]])
+        out = tau(np.float32([[0.0, 0.0]]), bias)
+        np.testing.assert_allclose(out.data, [[0.0, 1.0]], atol=1e-6)
+        out = tau(np.float32([[-1e9, 0.0]]))
+        np.testing.assert_allclose(out.data, [[0.0, 1.0]], atol=1e-6)
 
     def test_rows_sum_to_one_nonnegative(self):
         rng = np.random.default_rng(2)
-        out = tz.softmax_lastdim(Tensor(rng.standard_normal((5, 7)) * 3))
+        out = tau(rng.standard_normal((5, 7)) * 3)
         assert np.all(out.data >= 0)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(7)
-        w = rng.standard_normal(7)
-        err = finite_diff_check(
-            lambda t: tz.tsum(tz.mul(tz.softmax_lastdim(t), f64(w))), f64(x))
+        x = rng.standard_normal((1, 7))
+        w = rng.standard_normal((1, 7))
+        err = finite_diff_check(lambda t: tz.tsum(tz.mul(tau(t), f64(w))), f64(x))
         assert err < 1e-3
 
     def test_sum_gradient_is_zero(self):
         # softmax rows sum to a constant, so d(sum)/dx == 0
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal(5), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 5)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            y = tz.tsum(tz.softmax_lastdim(x))
+            y = tz.tsum(tau(x))
         backward(y, tape)
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
+
+
+def unfused_attention(q, k, v, scale, mask, mode):
+    """The chain tz.attention replaces: scale(matmul(q, k^T)) + bias, then the
+    tau kernel as the engine wrote it before the fusion, then @ v."""
+    kt = tz.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
+    s = tz.scale(tz.matmul(q, kt), scale).data
+    if mode == "softmax":
+        if mask is not None:
+            s = s + mask
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+    else:
+        data = np.maximum(s, 0) if mask is None else np.maximum(s, 0) * mask
+        rs = data.sum(axis=-1, keepdims=True)
+        ok = rs > 1e-8
+        if mask is None:
+            uniform = np.full_like(data, 1.0 / data.shape[-1])
+        else:
+            keep = np.broadcast_to(mask, data.shape).astype(data.dtype)
+            uniform = keep / keep.sum(axis=-1, keepdims=True)
+        w = np.where(ok, data / np.where(ok, rs, 1.0), uniform)
+    return tz.matmul(Tensor(w), v).data, w
+
+
+def causal(t, mode, dtype=np.float32):
+    keep = np.tril(np.ones((t, t), dtype=dtype))
+    return keep if mode == "sum_normalize" else np.where(keep > 0, 0, -1e9).astype(dtype)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("mode", ["softmax", "sum_normalize"])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_gradients_match_finite_differences(self, mode, masked, operand):
+        rng = np.random.default_rng(30)
+        q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
+        if mode == "sum_normalize":  # scores away from relu's kink
+            q, k = np.abs(q) + 0.1, np.abs(k) + 0.1
+        mask = causal(5, mode, np.float64) if masked else None
+        c = f64(rng.standard_normal((2, 3, 5, 4)))
+        args = [f64(q), f64(k), f64(v)]
+
+        def f(t):
+            ops = list(args)
+            ops[operand] = t
+            ctx, _ = tz.attention(*ops, 0.5, mask, mode)
+            return tz.tsum(tz.mul(ctx, c))
+
+        assert finite_diff_check(f, args[operand], step=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["softmax", "sum_normalize"])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("t", [9, 32, 60])  # both sides of the row-max switch
+    def test_forward_bit_identical_to_unfused_chain(self, mode, masked, t):
+        rng = np.random.default_rng(31)
+        q, k, v = (Tensor(rng.standard_normal((3, 2, t, 8)).astype(np.float32))
+                   for _ in range(3))
+        mask = causal(t, mode) if masked else None
+        ctx, w = tz.attention(q, k, v, 1.0 / math.sqrt(16), mask, mode)
+        ref_ctx, ref_w = unfused_attention(q, k, v, 1.0 / math.sqrt(16), mask, mode)
+        assert np.array_equal(w, ref_w)
+        assert np.array_equal(ctx.data, ref_ctx)
+        assert not w.flags.writeable
+
+    def test_one_tape_op_and_no_grad_for_constants(self):
+        rng = np.random.default_rng(32)
+        q = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        k, v = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
+        with Tape() as tape:
+            ctx, _ = tz.attention(q, k, v, 1.0)
+        (_, _, fn), = tape.ops
+        gq, gk, gv = fn(np.ones_like(ctx.data))
+        assert gq.shape == q.shape and gk is None and gv is None
+
+    def test_unknown_tau(self):
+        x = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            tz.attention(x, x, x, 1.0, None, "max")
+
+    def test_unmasked_sum_normalize_fallback_is_uniform(self):
+        out = tau(np.float32([[-1.0, -2.0, -3.0]]), None, "sum_normalize")
+        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
+
+
+row_elements = st.one_of(st.floats(width=32),
+                         st.sampled_from([-1e9, np.inf, -np.inf, np.nan, 0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float32,
+                  st.tuples(st.integers(1, 3), st.integers(1, 2 * tz._ROW_MAX_LOOP_LEN + 8)),
+                  elements=row_elements))
+def test_row_max_equals_numpy_max(x):
+    # equal bit for bit, except the sign of a zero max (a row holding 0.0 and
+    # -0.0; the softmax shift x - max is the same for either) and NaN payloads
+    got, want = tz._row_max(x), x.max(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(got, want)
+    plain = (want != 0) & ~np.isnan(want)
+    assert np.array_equal(got[plain].view(np.uint32), want[plain].view(np.uint32))
 
 
 class TestLayerNorm:
@@ -315,24 +432,29 @@ class TestMiscOps:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
 
+    # the sum_normalize tau of tz.attention (rows of relu(scores) * keep
+    # divided by their sum), driven through its scores
     def test_normalize_rows_masked(self):
-        keep = np.array([[1.0, 1.0, 0.0]])
-        x = Tensor([[2.0, 2.0, 5.0]])
-        out = tz.normalize_rows(tz.relu(x), keep=keep)
+        keep = np.float32([[1.0, 1.0, 0.0]])
+        out = tau(np.float32([[2.0, 2.0, 5.0]]), keep, "sum_normalize")
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
 
     def test_normalize_rows_fallback_uniform(self):
-        keep = np.array([[1.0, 1.0, 0.0]])
-        x = Tensor([[-1.0, -2.0, 3.0]])
-        out = tz.normalize_rows(tz.relu(x), keep=keep)
+        keep = np.float32([[1.0, 1.0, 0.0]])
+        x = Tensor(np.float32([[-1.0, -2.0, 3.0]]), requires_grad=True)
+        with Tape() as tape:
+            out = tau(x, keep, "sum_normalize")
+            loss = tz.tsum(tz.mul(out, Tensor(np.float32([[1.0, 2.0, 3.0]]))))
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, 0.0)
 
     def test_normalize_rows_gradient(self):
         rng = np.random.default_rng(9)
         x = np.abs(rng.standard_normal((3, 5))) + 0.1
         w = rng.standard_normal((3, 5))
         err = finite_diff_check(
-            lambda t: tz.tsum(tz.mul(tz.normalize_rows(t), f64(w))), f64(x))
+            lambda t: tz.tsum(tz.mul(tau(t, None, "sum_normalize"), f64(w))), f64(x))
         assert err < 1e-3
 
     def test_transpose_reshape_roundtrip_grads(self):
@@ -346,7 +468,7 @@ class TestMiscOps:
     def test_forward_outputs_finite(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((6, 6)).astype(np.float32))
-        for op in (tz.relu, tz.softmax_lastdim, lambda t: tz.matmul(t, t),
+        for op in (tz.relu, tau, lambda t: tz.matmul(t, t),
                    lambda t: tz.layer_norm(t, Tensor(np.ones(6, np.float32)),
                                            Tensor(np.zeros(6, np.float32)))):
             assert np.all(np.isfinite(op(x).data))
@@ -360,7 +482,7 @@ class TestFiniteDiffCheck:
     def test_softmax_then_sum_zero_grad(self):
         rng = np.random.default_rng(13)
         err = finite_diff_check(
-            lambda t: tz.tsum(tz.softmax_lastdim(t)), f64(rng.standard_normal(5)))
+            lambda t: tz.tsum(tau(t)), f64(rng.standard_normal((1, 5))))
         assert err < 1e-4
 
 
