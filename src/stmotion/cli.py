@@ -7,6 +7,7 @@ command is deterministic given identical flags, inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -14,6 +15,8 @@ import time
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .so3 import DegenerateRotationError
+from .tensor import atomic_write
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -242,7 +245,7 @@ def cmd_bench(args) -> int:
         rows.append((layers, win, batch, "ok", per_layer,
                      stats.workspace_elements, min(times)))
 
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("variant,layers,window,batch,status,scores_per_layer_per_head,"
                  "workspace_elements,seconds_per_forward\n")
         for r in rows:
@@ -258,6 +261,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="st-motion",
                                 description="Spatio-temporal motion prediction toolkit")
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 
-    t = sub.add_parser("train", help="train a model on an STM1 motion file")
+    t = sub.add_parser("train", help="train a model on a motion file")
     t.add_argument("--data", required=True)
     t.add_argument("--config", help="flat key = value config file")
     t.add_argument("--out-dir", required=True, dest="out_dir")
@@ -340,12 +344,12 @@ def main(argv=None) -> int:
         args.tau_mode = None
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as err:
+    except (NumericError, DegenerateRotationError) as err:  # the latter is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

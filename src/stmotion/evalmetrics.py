@@ -14,6 +14,7 @@ import numpy as np
 
 from . import so3
 from .motiondata import Skeleton, fk_positions
+from .tensor import atomic_write
 
 
 def _promote(x) -> np.ndarray:
@@ -69,7 +70,10 @@ def positional_errors(pred, target, skeleton: Skeleton) -> np.ndarray:
 
 def metric_positional(pred, target, skeleton: Skeleton, horizons_ms,
                       frame_rate: float) -> dict[float, float]:
-    err = positional_errors(pred, target, skeleton)
+    return _positional(positional_errors(pred, target, skeleton), horizons_ms, frame_rate)
+
+
+def _positional(err: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
     return {h: float(err[:, :f].mean())
             for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
 
@@ -86,7 +90,12 @@ def metric_pck_auc(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: fl
         raise ValueError("thresholds must be non-empty")
     if thresholds.size > 1 and not np.all(np.diff(thresholds) > 0):
         raise ValueError("thresholds must be strictly increasing")
-    err = positional_errors(pred, target, skeleton)
+    return _pck_auc(positional_errors(pred, target, skeleton), horizons_ms, frame_rate,
+                    thresholds)
+
+
+def _pck_auc(err: np.ndarray, horizons_ms, frame_rate: float,
+             thresholds: np.ndarray) -> dict[float, float]:
     out = {}
     for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate)):
         e = err[:, :f].reshape(-1)
@@ -146,14 +155,6 @@ class PSDistribution:
 
     spectra: np.ndarray   # (F, K), each row non-negative, sums to 1
     window_len: int       # frames per window before zero-padding
-
-    @property
-    def n_features(self) -> int:
-        return self.spectra.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.spectra.shape[1]
 
 
 def ps_of_windows(windows, skeleton: Skeleton) -> PSDistribution:
@@ -236,7 +237,7 @@ def longterm_eval(prediction, skeleton: Skeleton, reference_windows,
 
 def write_metric_csv(path, report: dict[float, dict[str, float]]):
     """`horizon_ms,euler,geodesic,positional_mm,pck_auc` rows."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("horizon_ms,euler,geodesic,positional_mm,pck_auc\n")
         for h in sorted(report):
             r = report[h]
@@ -246,17 +247,19 @@ def write_metric_csv(path, report: dict[float, dict[str, float]]):
 
 def write_longterm_csv(path, seconds, klds, ents):
     """`second,ps_kld,ps_entropy` rows."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("second,ps_kld,ps_entropy\n")
         for s, k, e in zip(seconds, klds, ents):
             fh.write(f"{s},{k!r},{e!r}\n")
 
 
 def full_report(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float):
-    """All Table-style metrics keyed by horizon."""
+    """All Table-style metrics keyed by horizon; forward kinematics runs once
+    per side."""
     eu = metric_euler(pred, target, horizons_ms, frame_rate)
     ge = metric_geodesic(pred, target, horizons_ms, frame_rate)
-    po = metric_positional(pred, target, skeleton, horizons_ms, frame_rate)
-    pk = metric_pck_auc(pred, target, skeleton, horizons_ms, frame_rate)
+    err = positional_errors(pred, target, skeleton)
+    po = _positional(err, horizons_ms, frame_rate)
+    pk = _pck_auc(err, horizons_ms, frame_rate, np.asarray(DEFAULT_PCK_THRESHOLDS))
     return {h: {"euler": eu[h], "geodesic": ge[h],
                 "positional_mm": po[h], "pck_auc": pk[h]} for h in horizons_ms}

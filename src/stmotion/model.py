@@ -18,6 +18,7 @@ tokens with causal masking on the time axis only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -54,7 +55,7 @@ class ModelConfig:
     ff_per_branch: bool = False
 
     def __post_init__(self):
-        if self.embed_dim % self.n_heads != 0:
+        if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be divisible by n_heads {self.n_heads}")
         if self.tau_mode not in TAU_MODES:
@@ -74,7 +75,7 @@ class ModelConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, s: str) -> "ModelConfig":
+    def from_json(cls, s: str | bytes) -> "ModelConfig":
         """Inverse of `to_json`; every field must be present, and no other."""
         values = json.loads(s)
         if not isinstance(values, dict):
@@ -470,17 +471,13 @@ def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
     if isinstance(maps_list, AttentionMaps):
         maps_list = [maps_list]
     own = isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
-    fh = open(path_or_fh, "w") if own else path_or_fh
-    try:
+    with tz.atomic_write(path_or_fh) if own else contextlib.nullcontext(path_or_fh) as fh:
         header = "layer,head,kind,row,col,weight\n"
         if with_step:
             header = "step," + header
         fh.write(header)
         for step, maps in enumerate(maps_list):
             fh.writelines(attention_rows(maps, step if with_step else None))
-    finally:
-        if own:
-            fh.close()
 
 
 def _forward_stats(cfg: ModelConfig, b: int, t: int) -> ForwardStats:
@@ -507,25 +504,22 @@ def estimate_workspace_elements(cfg: ModelConfig, batch: int, t: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: plain-text config header + STT1 tensor block
+# Checkpoints: a record (see tensor.save_record) with the config as header
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]):
-    with open(path, "wb") as fh:
-        fh.write(cfg.to_json().encode("utf-8") + b"\n")
-        tz.save_tensors(fh, {k: v.data for k, v in params.items()})
+    tz.save_record(path, cfg.to_json(), {k: v.data for k, v in params.items()})
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Read a checkpoint; its tensor names and shapes must be exactly those
     `init_params` makes for the header's config, else ConfigError."""
-    with open(path, "rb") as fh:
-        try:
-            cfg = ModelConfig.from_json(fh.readline().decode("utf-8"))
-        except ValueError as err:  # UTF-8, JSON or field errors
-            raise ConfigError(f"checkpoint {path}: config header: {err}") from None
-        arrays = tz.load_tensors(fh)
+    header, arrays = tz.load_record(path)
+    try:
+        cfg = ModelConfig.from_json(header)
+    except (TypeError, ValueError, RecursionError) as err:  # UTF-8, JSON, fields
+        raise ConfigError(f"checkpoint {path}: config header: {err}") from None
     want = _param_shapes(cfg)
     for name in sorted(want.keys() | arrays.keys()):
         if name not in arrays:

@@ -10,12 +10,13 @@ reverse / mirror augmentations.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
+from . import tensor as tz
+from .errors import ConfigError
 
 JOINT_DIM = 9  # flattened 3x3 rotation per joint
 
@@ -254,49 +255,38 @@ def shift_targets(windows: list[MotionSequence]) -> WindowedBatch:
 
 
 # ---------------------------------------------------------------------------
-# "STM1" motion file format and CSV export
+# Motion files and CSV export
 # ---------------------------------------------------------------------------
-
-_MAGIC = b"STM1"
 
 
 def save_motion(path, seq: MotionSequence):
-    """magic, frame_rate (f32), T, N (u32 LE), skeleton block, rotations."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<fII", seq.frame_rate, seq.n_frames, seq.skeleton.n_joints))
-        for name in seq.skeleton.joint_names:
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(enc)))
-            fh.write(enc)
-        sk = seq.skeleton
-        fh.write(np.asarray(sk.parent, dtype="<i4").tobytes())
-        fh.write(np.asarray(sk.offset, dtype="<f4").tobytes())
-        fh.write(np.asarray(sk.mirror_pair, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(seq.rotations, dtype="<f4").tobytes())
+    """A record (see `tensor.save_record`): the frame rate and the skeleton
+    in the header, the rotations as the one tensor."""
+    header = {"frame_rate": float(seq.frame_rate), "skeleton": vars(seq.skeleton)}
+    tz.save_record(path, json.dumps(header, default=np.ndarray.tolist),
+                   {"rotations": seq.rotations})
 
 
 def load_motion(path) -> MotionSequence:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an STM1 motion file")
-        frame_rate, t, n = struct.unpack("<fII", fh.read(12))
-        names = []
-        for _ in range(n):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            names.append(fh.read(ln).decode("utf-8"))
-        parent = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int64)
-        offset = np.frombuffer(fh.read(12 * n), dtype="<f4").reshape(n, 3).astype(np.float64)
-        mirror = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int64)
-        rots = np.frombuffer(fh.read(4 * t * n * 9), dtype="<f4").reshape(t, n, 3, 3)
-        skeleton = Skeleton(names, parent, offset, mirror)
-        return MotionSequence(skeleton, rots.copy(), frame_rate)
+    """Read what `save_motion` wrote; a bad or incomplete header, or rotations
+    that do not fit the skeleton, are a ConfigError naming the file."""
+    header, tensors = tz.load_record(path)
+    try:
+        header = json.loads(header)
+        rate = header["frame_rate"]
+        if not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
+            raise ValueError(f"frame_rate {rate!r} is not a positive number")
+        return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
+    except KeyError as err:
+        raise ConfigError(f"motion file {path}: no {err} entry") from None
+    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as err:
+        raise ConfigError(f"motion file {path}: {err}") from None
 
 
 def export_positions_csv(path, seq: MotionSequence):
     """Forward-kinematics positions as `frame,joint,x,y,z` rows."""
     pos = forward_kinematics(seq)
-    with open(path, "w") as fh:
+    with tz.atomic_write(path) as fh:
         fh.write("frame,joint,x,y,z\n")
         for t in range(pos.shape[0]):
             for j in range(pos.shape[1]):
@@ -306,13 +296,10 @@ def export_positions_csv(path, seq: MotionSequence):
 
 def skeleton_from_json(path) -> Skeleton:
     with open(path) as fh:
-        d = json.load(fh)
-    return Skeleton(
-        joint_names=list(d["joint_names"]),
-        parent=np.asarray(d["parent"]),
-        offset=np.asarray(d["offset"], dtype=np.float64),
-        mirror_pair=np.asarray(d["mirror_pair"]),
-    )
+        try:
+            return Skeleton(**json.load(fh))
+        except (TypeError, ValueError, IndexError, OverflowError) as err:
+            raise ConfigError(f"skeleton file {path}: {err}") from None
 
 
 def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpec], float]:

@@ -8,8 +8,10 @@ Without an active tape, operations are plain numpy calls.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
 from typing import Callable, Sequence
 
@@ -24,8 +26,11 @@ __all__ = [
     "Tape",
     "backward",
     "finite_diff_check",
+    "atomic_write",
     "save_tensors",
     "load_tensors",
+    "save_record",
+    "load_record",
     "matmul",
     "joint_linear",
     "add",
@@ -472,10 +477,26 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# "STT1" checkpoint format
+# Records (checkpoints, motion files): a JSON header line, an "STT1" block
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"STT1"
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file next to `path` for writing; on a clean exit it
+    replaces `path` with `os.replace`, on an exception it is removed and
+    `path` keeps its old contents."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_tensors(fh, named: dict[str, np.ndarray]):
@@ -483,43 +504,58 @@ def save_tensors(fh, named: dict[str, np.ndarray]):
     name_len + name + rank + dims (u32 LE) + raw f32 LE values."""
     fh.write(_MAGIC)
     for name, arr in named.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4", order="C")  # keeps rank 0
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Exactly n bytes of the seekable fh. A length beyond the bytes left is a
-    ConfigError naming `what`, raised before anything is read."""
-    here = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-    if n > left:
-        raise ConfigError(f"{what}: needs {n} bytes, the file has {left} left")
-    return fh.read(n)
+        fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_tensors(fh) -> dict[str, np.ndarray]:
-    """Read what `save_tensors` wrote; a malformed or truncated file is a
-    ConfigError naming the file and the field."""
+    """Read what `save_tensors` wrote, from fh's position to its end, each
+    length checked against the bytes left before it is read; a malformed or
+    truncated file is a ConfigError naming the file and the field."""
     src = getattr(fh, "name", "tensor file")
-    raw = fh.read()
-    buf = io.BytesIO(raw)  # in memory: the length checks cost no syscalls
-    if buf.read(4) != _MAGIC:
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+
+    def claim(n: int, what: str) -> int:
+        nonlocal left
+        if n > left:
+            raise ConfigError(f"{src}: {what}: needs {n} bytes, the file has {left} left")
+        left -= n
+        return n
+
+    if left < 4 or fh.read(4) != _MAGIC:
         raise ConfigError(f"{src}: not an STT1 tensor file")
+    left -= 4
     out: dict[str, np.ndarray] = {}
-    while buf.tell() < len(raw):
-        where = f"{src}: tensor record {len(out)}"
-        (name_len,) = struct.unpack("<I", _read_exact(buf, 4, where + " name length"))
-        name = _read_exact(buf, name_len, where + " name").decode("utf-8", "replace")
-        where = f"{src}: tensor {name!r}"
-        (rank,) = struct.unpack("<I", _read_exact(buf, 4, where + " rank"))
-        dims = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, where + " dims"))
-        count = math.prod(dims)
-        data = np.frombuffer(_read_exact(buf, 4 * count, where + " values"), dtype="<f4")
-        out[name] = data.reshape(dims).copy()
+    while left:
+        where = f"tensor record {len(out)}"
+        (name_len,) = struct.unpack("<I", fh.read(claim(4, where + " name length")))
+        name = fh.read(claim(name_len, where + " name")).decode("utf-8", "replace")
+        where = f"tensor {name!r}"
+        (rank,) = struct.unpack("<I", fh.read(claim(4, where + " rank")))
+        dims = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, where + " dims")))
+        claim(4 * math.prod(dims), where + " values")
+        out[name] = np.empty(dims, dtype="<f4")
+        fh.readinto(out[name].reshape(-1).view(np.uint8))
     return out
+
+
+def save_record(path, header: str, tensors: dict[str, np.ndarray]):
+    """Atomically write `header`, one line of JSON text, then `tensors` as an
+    STT1 block."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        save_tensors(fh, tensors)
+
+
+def load_record(path) -> tuple[bytes, dict[str, np.ndarray]]:
+    """Read what `save_record` wrote: the header line, for the caller to
+    parse and check, and the tensors."""
+    with open(path, "rb") as fh:
+        return fh.readline(), load_tensors(fh)

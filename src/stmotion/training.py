@@ -248,7 +248,7 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
 
 
 def write_history_csv(path, history: list[dict]):
-    with open(path, "w") as fh:
+    with tz.atomic_write(path) as fh:
         fh.write("step,loss,lr,val_euler,val_geodesic,val_positional\n")
         for row in history:
             cells = [str(row["step"]), repr(row["loss"]), repr(row["lr"])]

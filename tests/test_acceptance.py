@@ -5,7 +5,10 @@ expensive fixtures (the two-hour synthetic dataset and the desk-scale
 training runs) are built once per module and shared across criteria.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,23 +60,43 @@ def dataset():
     return train, val, sk
 
 
-@pytest.fixture(scope="module")
-def desk_runs(dataset):
-    train_seqs, val_seqs, _ = dataset
-    runs = {"st": {}, "vanilla": {}}
-    van_cfg = mo.matched_vanilla_config(DESK_CFG)
+def _desk_run(kind: str, seed: int, train_path: str, val_path: str):
+    """One desk training run, in a worker process: (result, its seconds).
+    The worker maps the dataset's rotations read-only from .npy files."""
+    sk = md.default_skeleton()
+    train_seqs = [md.MotionSequence(sk, np.load(train_path, mmap_mode="r"), FPS)]
+    val_seqs = [md.MotionSequence(sk, np.load(val_path, mmap_mode="r"), FPS)]
+    cfg = DESK_CFG if kind == "st" else mo.matched_vanilla_config(DESK_CFG)
     t0 = time.perf_counter()
-    for seed in (0, 1, 2):
-        params = mo.init_params(DESK_CFG, np.random.default_rng(seed))
-        runs["st"][seed] = tr.train(params, DESK_CFG, desk_train_cfg(seed),
-                                    train_seqs, val_seqs)
-        if seed == 0:
-            seed0_seconds = time.perf_counter() - t0
-    for seed in (0, 1, 2):
-        params = mo.init_params(van_cfg, np.random.default_rng(seed))
-        runs["vanilla"][seed] = tr.train(params, van_cfg, desk_train_cfg(seed),
-                                         train_seqs, val_seqs)
-    return {"runs": runs, "van_cfg": van_cfg, "seed0_seconds": seed0_seconds}
+    params = mo.init_params(cfg, np.random.default_rng(seed))
+    result = tr.train(params, cfg, desk_train_cfg(seed), train_seqs, val_seqs)
+    return result, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def desk_runs(dataset, tmp_path_factory):
+    """The six independent desk trainings (st and matched vanilla, seeds
+    0-2), run in spawned worker processes, one BLAS thread each, on at most
+    two of the usable CPUs."""
+    train_seqs, val_seqs, _ = dataset
+    root = tmp_path_factory.mktemp("desk_data")
+    paths = [str(root / "train.npy"), str(root / "val.npy")]
+    for path, seqs in zip(paths, (train_seqs, val_seqs)):
+        np.save(path, seqs[0].rotations)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = [(kind, seed) for kind in ("st", "vanilla") for seed in (0, 1, 2)]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        env.setenv("OMP_NUM_THREADS", "1")
+        with ProcessPoolExecutor(max_workers=min(2, cpus or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = {job: pool.submit(_desk_run, *job, *paths) for job in jobs}
+            done = {job: f.result() for job, f in futures.items()}
+    runs = {"st": {}, "vanilla": {}}
+    for (kind, seed), (result, _) in done.items():
+        runs[kind][seed] = result
+    return {"runs": runs, "van_cfg": mo.matched_vanilla_config(DESK_CFG),
+            "seed0_seconds": done["st", 0][1]}
 
 
 def random_window(cfg: mo.ModelConfig, t: int, rng, batch=None):

@@ -363,3 +363,97 @@ class TestSpecHandCases:
                          "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert int(rows[1][5]) == 4 * int(rows[0][5])  # doubling W quadruples scores
+
+
+def _every_cut_is_one_line_usage_error(tmp_path, capsys, blob, argv):
+    """Each prefix of `blob`, saved as the file that `argv(path)` names, makes
+    cli.main exit 2 with one stderr line that names the file."""
+    cut = tmp_path / "cut.bin"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        code = cli.main(argv(str(cut)))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert (code, len(err)) == (2, 1) and str(cut) in err[0], (size, code, err)
+
+
+class TestFileFormats:
+    @pytest.fixture(scope="class")
+    def small_motion(self, workdir):
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        path = workdir / "small.stm1"
+        motiondata.save_motion(path, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:3], seq.frame_rate))
+        return path
+
+    def test_every_cut_of_a_motion_file(self, workdir, small_motion, tmp_path, capsys):
+        blob = small_motion.read_bytes()
+        ckpt = str(workdir / "run" / "best.stt1")
+        _every_cut_is_one_line_usage_error(tmp_path, capsys, blob, lambda p: [
+            "train", "--data", p, "--config", str(workdir / "tiny.cfg"),
+            "--out-dir", str(tmp_path / "run")])
+        _every_cut_is_one_line_usage_error(tmp_path, capsys, blob, lambda p: [
+            "rollout", "--checkpoint", ckpt, "--seed-file", p, "--seconds", "0.05",
+            "--out", str(tmp_path / "pred.stm1")])
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cut.bin"]
+
+    def test_every_cut_of_a_checkpoint(self, small_motion, tmp_path, capsys):
+        cfg = model.ModelConfig(n_joints=9, embed_dim=2, n_heads=1, n_layers=1, ff_size=2,
+                                window=2)
+        ckpt = tmp_path / "small.stt1"
+        model.save_checkpoint(ckpt, cfg, model.init_params(cfg, np.random.default_rng(0)))
+        blob = ckpt.read_bytes()
+        ckpt.unlink()
+        _every_cut_is_one_line_usage_error(tmp_path, capsys, blob, lambda p: [
+            "eval", "--data", str(small_motion), "--checkpoint", p,
+            "--out", str(tmp_path / "m.csv")])
+        _every_cut_is_one_line_usage_error(tmp_path, capsys, blob, lambda p: [
+            "rollout", "--checkpoint", p, "--seed-file", str(small_motion),
+            "--seconds", "0.05", "--out", str(tmp_path / "pred.stm1")])
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cut.bin"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "rollout"])
+    def test_cross_wired_files(self, workdir, tmp_path, capsys, command):
+        data, ckpt = str(workdir / "data.stm1"), str(workdir / "run" / "best.stt1")
+        argv, named = {
+            "train": (["train", "--data", ckpt, "--out-dir", str(tmp_path / "run")],
+                      f"motion file {ckpt}: no 'frame_rate' entry"),
+            "eval": (["eval", "--data", data, "--checkpoint", data,
+                      "--out", str(tmp_path / "m.csv")],
+                     f"checkpoint {data}: config header: model config has unknown keys"),
+            "rollout": (["rollout", "--checkpoint", ckpt, "--seed-file", ckpt,
+                         "--seconds", "0.05", "--out", str(tmp_path / "p.stm1")],
+                        f"motion file {ckpt}: no 'frame_rate' entry"),
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+
+    def test_deeply_nested_header_is_a_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.stm1"
+        deep.write_bytes(b"[" * 100_000 + b"\nSTT1")
+        assert cli.main(["train", "--data", str(deep), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(deep) in err[0]
+
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        assert cli.main(["synth", "--frames", "40", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a_directory" in err[0]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a_directory"]
+
+    def test_degenerate_rollout_is_a_numeric_failure(self, workdir, tmp_path, capsys):
+        cfg, params = model.load_checkpoint(workdir / "run" / "best.stt1")
+        for p in params.values():
+            p.data[...] = 0.0
+        ckpt, seed_file = tmp_path / "zero.stt1", tmp_path / "zero_seed.stm1"
+        model.save_checkpoint(ckpt, cfg, params)
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            motiondata.default_skeleton(), np.zeros((cfg.window, 9, 3, 3)), 60.0))
+        out = tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(ckpt), "--seed-file", str(seed_file),
+                         "--seconds", "0.05", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rank-deficient" in err[0]
+        assert not out.exists()

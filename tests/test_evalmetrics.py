@@ -292,3 +292,22 @@ class TestCsvWriters:
         assert report[100.0]["geodesic"] < 1e-4
         assert report[100.0]["positional_mm"] < 1e-6
         assert report[100.0]["pck_auc"] == 100.0
+
+    def test_full_report_equals_the_separate_metrics(self, monkeypatch):
+        sk, truth = rot_seq(24, seed=9)
+        _, pred = rot_seq(24, seed=10)
+        pred, truth = np.stack([pred, truth]), np.stack([truth, pred])
+        horizons = [50.0, 200.0, 400.0]
+        separate = {
+            "euler": ev.metric_euler(pred, truth, horizons, 60.0),
+            "geodesic": ev.metric_geodesic(pred, truth, horizons, 60.0),
+            "positional_mm": ev.metric_positional(pred, truth, sk, horizons, 60.0),
+            "pck_auc": ev.metric_pck_auc(pred, truth, sk, horizons, 60.0),
+        }
+        calls = []
+        fk = ev.fk_positions
+        monkeypatch.setattr(ev, "fk_positions", lambda *a: calls.append(1) or fk(*a))
+        report = ev.full_report(pred, truth, sk, horizons, 60.0)
+        assert len(calls) == 2  # once per side
+        for h in horizons:
+            assert report[h] == {k: v[h] for k, v in separate.items()}

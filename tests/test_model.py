@@ -30,6 +30,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             mo.ModelConfig(embed_dim=10, n_heads=4)
 
+    def test_zero_heads_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="n_heads 0"):
+            mo.ModelConfig(n_heads=0)
+
     def test_unknown_modes(self):
         with pytest.raises(ConfigError):
             mo.ModelConfig(tau_mode="max")

@@ -1,8 +1,15 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmotion import motiondata as md
 from stmotion import so3
+from stmotion import tensor as tz
+from stmotion.errors import ConfigError
 
 
 def identity_seq(n_frames=10, fps=60.0):
@@ -230,6 +237,54 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             md.load_motion(p)
 
+    @pytest.mark.parametrize("line", [b"", b"[1, 2]", b"{\"frame_rate\": ", b"\xff{}"],
+                             ids=["empty", "not_object", "bad_json", "bad_utf8"])
+    def test_bad_header_line_names_the_file(self, tmp_path, line):
+        p = tmp_path / "bad.stm1"
+        p.write_bytes(line + b"\nSTT1")
+        with pytest.raises(ConfigError, match=re.escape(f"motion file {p}: ")):
+            md.load_motion(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame_rate=st.floats(1e-3, 1e4).filter(lambda f: float(np.float32(f)) != f),
+           names=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4),
+           n_frames=st.integers(1, 5))
+    def test_motion_roundtrip_is_exact(self, tmp_path_factory, frame_rate, names, n_frames):
+        n = len(names)
+        sk = md.Skeleton(names, np.arange(n) - 1, np.linspace(-1, 1, 3 * n).reshape(n, 3) / 3,
+                         np.arange(n))
+        rots = so3.random_rotations((n_frames, n), np.random.default_rng(n_frames))
+        seq = md.MotionSequence(sk, rots, frame_rate)
+        p = tmp_path_factory.mktemp("motion") / "m.stm1"
+        md.save_motion(p, seq)
+        loaded = md.load_motion(p)
+        assert loaded.frame_rate == frame_rate
+        assert loaded.skeleton.joint_names == names
+        assert np.array_equal(loaded.skeleton.offset, sk.offset)
+        np.testing.assert_array_equal(loaded.rotations, seq.rotations)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h, t: h.pop("frame_rate"), "no 'frame_rate' entry"),
+        (lambda h, t: h["skeleton"].pop("parent"), "missing 1 required positional argument"),
+        (lambda h, t: t.pop("rotations"), "no 'rotations' entry"),
+        (lambda h, t: h.update(frame_rate="60"), "frame_rate '60' is not a positive number"),
+        (lambda h, t: h.update(frame_rate=0), "frame_rate 0 is not a positive number"),
+        (lambda h, t: h.update(skeleton=[1]), "must be a mapping"),
+        (lambda h, t: h.update(skeleton={**h["skeleton"], "pelvis": 0}), "unexpected keyword"),
+        (lambda h, t: h["skeleton"].update(mirror_pair=[0] * 9), "involution"),
+        (lambda h, t: t.update(rotations=t["rotations"][:, :2]), "bad rotations shape"),
+    ], ids=["no_rate", "no_parent", "no_rotations", "rate_type", "rate_zero", "skeleton_type",
+            "skeleton_key", "mirror", "shape"])
+    def test_bad_header_names_the_file(self, tmp_path, edit, message):
+        header = {"frame_rate": 60.0, "skeleton": dataclasses.asdict(md.default_skeleton())}
+        tensors = {"rotations": identity_seq(2).rotations}
+        edit(header, tensors)
+        p = tmp_path / "bad.stm1"
+        tz.save_record(p, json.dumps(header, default=np.ndarray.tolist), tensors)
+        with pytest.raises(ConfigError, match=re.escape(f"motion file {p}: ") + ".*"
+                           + re.escape(message)):
+            md.load_motion(p)
+
     def test_positions_csv(self, tmp_path):
         seq = identity_seq(2)
         p = tmp_path / "pos.csv"
@@ -252,6 +307,14 @@ class TestFileFormats:
             "mirror_pair": sk.mirror_pair.tolist(),
         }))
         assert md.skeleton_from_json(p) == sk
+
+    @pytest.mark.parametrize("text", ['{"joint_names": ["a"]}', '[]', '{"joint_names": '],
+                             ids=["missing", "not_object", "bad_json"])
+    def test_bad_skeleton_json_names_the_file(self, tmp_path, text):
+        p = tmp_path / "sk.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"skeleton file {p}: ")):
+            md.skeleton_from_json(p)
 
     def test_motion_spec_json_with_names(self, tmp_path):
         sk = md.default_skeleton()

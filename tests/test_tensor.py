@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -507,3 +508,60 @@ class TestCheckpointFormat:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             tz.load_tensors(io.BytesIO(b"NOPE"))
+
+
+class TestRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(header=st.dictionaries(st.text(max_size=8), st.one_of(
+               st.floats(allow_nan=False), st.text(), st.integers(), st.booleans()),
+               max_size=4),
+           shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+                           max_size=3))
+    def test_roundtrip(self, tmp_path_factory, header, shapes):
+        p = tmp_path_factory.mktemp("records") / "r.stt1"
+        rng = np.random.default_rng(len(shapes))
+        tensors = {f"t{i}·é": rng.standard_normal(s).astype(np.float32)
+                   for i, s in enumerate(shapes)}
+        tz.save_record(p, json.dumps(header, ensure_ascii=False), tensors)
+        line, tensors2 = tz.load_record(p)
+        assert json.loads(line) == header
+        assert list(tensors2) == list(tensors)
+        for k, v in tensors.items():
+            assert tensors2[k].shape == v.shape and tensors2[k].dtype == np.float32
+            np.testing.assert_array_equal(tensors2[k], v)
+
+    def test_values_are_read_into_fresh_aligned_arrays(self, tmp_path):
+        p = tmp_path / "r.stt1"
+        tz.save_record(p, '{"odd": 1}', {"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
+        x = tz.load_record(p)[1]["x"]
+        assert x.flags.c_contiguous and x.flags.aligned and x.flags.writeable
+        assert x.base is None  # its own buffer, not a view into a file-sized one
+
+
+class TestAtomicWrite:
+    def test_failed_record_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "r.stt1"
+        tz.save_record(p, '{"v": 1}', {"a": np.ones(3, np.float32)})
+        before = p.read_bytes()
+        with pytest.raises(ValueError):  # the second tensor fails to convert
+            tz.save_record(p, '{"v": 2}', {"a": np.zeros(3), "b": np.array(["x"])})
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_failed_text_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with tz.atomic_write(p) as fh:
+                fh.write("new\n")
+                raise RuntimeError("part-way")
+        assert p.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_success_replaces(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_text("old\n")
+        with tz.atomic_write(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert sorted(tmp_path.iterdir()) == [p]
