@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -149,12 +150,18 @@ def cmd_eval(args) -> int:
 
     if args.n_windows < 1:
         raise ConfigError(f"--n-windows must be >= 1, got {args.n_windows}")
+    try:
+        horizons = [float(h) for h in args.horizons.split(",")]
+        if not all(0 < h < math.inf for h in horizons):  # also false for nan
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"--horizons must be positive finite milliseconds, "
+                          f"got {args.horizons!r}") from None
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
     if cfg.n_joints != seq.skeleton.n_joints:
         raise ConfigError(
             f"checkpoint expects {cfg.n_joints} joints, data has {seq.skeleton.n_joints}")
-    horizons = [float(h) for h in args.horizons.split(",")]
     fps = seq.frame_rate
     max_h = max(evalmetrics.horizon_frames(horizons, fps))
 
@@ -183,6 +190,8 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     from . import model, motiondata
 
+    if not math.isfinite(args.seconds):
+        raise ConfigError(f"--seconds must be finite, got {args.seconds:g}")
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()

@@ -127,6 +127,14 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
+@functools.lru_cache(maxsize=8)
+def _positional_encoding(length: int, dim: int, dtype) -> np.ndarray:
+    """Read-only `positional_encoding`, built once per (T, D, dtype)."""
+    pe = positional_encoding(length, dim, dtype)
+    pe.flags.writeable = False
+    return pe
+
+
 # ---------------------------------------------------------------------------
 # Parameter initialization
 # ---------------------------------------------------------------------------
@@ -242,27 +250,28 @@ def _attend(q, k, v, cfg: ModelConfig, mask: np.ndarray | None):
 # ---------------------------------------------------------------------------
 
 
-def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
-    """Per-joint causal attention over time. ej: joint-major (N, B, T, D);
-    returns (B, T, N, D)."""
+def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, ejq: Tensor | None = None):
+    """Per-joint causal attention over time. ej: joint-major (N, B, T, D)
+    for the keys and values; ejq: its last Tq frames for the queries
+    (default all of ej). Returns ((B, Tq, N, D), weights (N, H, B, Tq, T))."""
+    ejq = ej if ejq is None else ejq
     n, b, t, _ = ej.data.shape
+    tq = ejq.data.shape[2]
     h, f = cfg.n_heads, cfg.head_dim
-    q = tz.joint_linear(ej, p[pre + "t.wq"])  # (N, H, B, T, F)
-    k = tz.joint_linear(ej, p[pre + "t.wk"])
+    q = tz.joint_linear(ejq, p[pre + "t.wq"])  # (N, H, B, Tq, F)
+    k = tz.joint_linear(ej, p[pre + "t.wk"])   # (N, H, B, T, F)
     v = tz.joint_linear(ej, p[pre + "t.wv"])
-    ctx, weights = _attend(q, k, v, cfg, _causal_mask(t, 1, ej.data.dtype, cfg.tau_mode))
-    ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, t, h * f))
-    out = tz.joint_linear(ctx, p[pre + "t.wo"])  # (N, B, T, D)
-    out = tz.transpose(out, (1, 2, 0, 3))
-    # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints; summed
-    # batch-major, so the maps do not depend on this stream's layout
-    maps = np.ascontiguousarray(weights.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1))
-    return out, maps
+    mask = _causal_mask(t, 1, ej.data.dtype, cfg.tau_mode)[t - tq:]
+    ctx, weights = _attend(q, k, v, cfg, mask)
+    ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, tq, h * f))
+    out = tz.joint_linear(ctx, p[pre + "t.wo"])  # (N, B, Tq, D)
+    return tz.transpose(out, (1, 2, 0, 3)), weights
 
 
 def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     """Unmasked attention among joints within a frame. e: (B, T, N, D), with
-    its joint-major view ej: (N, B, T, D) for the per-joint projections."""
+    its joint-major view ej: (N, B, T, D) for the per-joint projections.
+    Returns ((B, T, N, D), weights (B, T, H, N, N))."""
     b, t, n, d = e.data.shape
     shared = tz.reshape(e, (b, t, 1, n, d))
 
@@ -276,9 +285,7 @@ def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
     v = project(pre + "s.wv", cfg.spatial_sharing == "all_separate")
     ctx, weights = _attend(q, k, v, cfg, None)  # (B, T, H, N, F)
     ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, d))
-    out = tz.matmul(ctx, p[pre + "s.wo"])  # (B, T, N, D)
-    maps = weights.mean(axis=(0, 1))  # (H, N, N)
-    return out, maps
+    return tz.matmul(ctx, p[pre + "s.wo"]), weights  # (B, T, N, D)
 
 
 def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, mask: np.ndarray | None):
@@ -319,14 +326,38 @@ def _aggregate(e_in: Tensor, summaries: list[Tensor], p: dict, pre: str, cfg: Mo
     return tz.layer_norm(tz.add(e_in, s), p[pre + "ln.g"], p[pre + "ln.b"])
 
 
+def _last_block_frames(t: int) -> int:
+    """Query frames of st's trimmed last block over a T-frame window: from the
+    last multiple of four that leaves at least two (2 to 5 frames, or T).
+
+    BLAS rounds a row's sums by how it groups the rows: numpy sends a one-row
+    matmul to gemv, not gemm, and OpenBLAS's gemm takes rows in blocks of
+    four, with other kernels for the remainder at some widths (a head size of
+    2 or 6, for one). Slicing on a block boundary keeps every row in the
+    kernel it has in the full pass, so the rows come out bit for bit equal.
+    """
+    return t - max(0, (t - 2) // 4 * 4)
+
+
 def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
-            training: bool = False, rng: np.random.Generator | None = None):
+            training: bool = False, rng: np.random.Generator | None = None,
+            last_only: bool = False):
     """Predict the next pose for every position of the input window.
 
     window: (B, T, N, M) or (T, N, M) flattened rotations, T <= cfg.window.
     Returns (predictions Tensor of the same shape, AttentionMaps, ForwardStats).
     Position t of the output is the model's estimate of frame t+1 (input pose
     plus a learned delta).
+
+    last_only: an inference pass for autoregressive rollouts, which read only
+    the last position. The predictions are that frame's alone, (B, 1, N, M)
+    or (1, N, M), and the AttentionMaps are empty (no map means are
+    computed). For st the last block computes its temporal keys and values
+    over all T frames and everything else on its last few frames only
+    (see `_last_block_frames`); the result equals the full pass's bit for
+    bit, and ForwardStats counts what was computed. The other variants run
+    the full pass. Raises ConfigError with `training`: the sliced tensors
+    carry no gradient.
     """
     x = np.asarray(window)
     squeeze = x.ndim == 3
@@ -340,15 +371,18 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         raise ConfigError(f"window length {t} exceeds configured maximum {cfg.window}")
     if training and cfg.dropout > 0 and rng is None:
         raise ConfigError("training-mode forward requires an rng for dropout")
+    if training and last_only:
+        raise ConfigError("last_only is an inference pass; it cannot train")
 
     dtype = params["embed.w"].data.dtype
     x = x.astype(dtype, copy=False)
     d = cfg.embed_dim
     maps = AttentionMaps()
     xt = Tensor(x)
+    tq = _last_block_frames(t) if last_only and cfg.variant == "st" else t
 
     # joint embeddings + positional encoding + dropout
-    pe = positional_encoding(t, d, dtype)
+    pe = _positional_encoding(t, d, dtype)
     if cfg.variant == "vanilla_1d":
         flat = tz.reshape(xt, (b, t, n * m))
         e = tz.add(tz.matmul(flat, params["embed.w"]), params["embed.b"])  # (B, T, D)
@@ -364,23 +398,32 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         pre = f"l{l}."
         if cfg.variant == "st":
             ej = tz.transpose(e, (2, 0, 1, 3))  # one joint-major view for both streams
-            t_out, t_map = _temporal_stream(ej, params, pre, cfg)
-            s_out, s_map = _spatial_stream(e, ej, params, pre, cfg)
-            maps.temporal.append(t_map)
-            maps.spatial.append(s_map)
-            e = _aggregate(e, [t_out, s_out], params, pre, cfg, training, rng)
+            eq, ejq = e, ej
+            if l == cfg.n_layers - 1 and tq < t:  # trimmed: only K and V see all T frames
+                eq, ejq = Tensor(e.data[:, t - tq:]), Tensor(ej.data[:, :, t - tq:])
+            t_out, t_w = _temporal_stream(ej, params, pre, cfg, ejq)
+            s_out, s_w = _spatial_stream(eq, ejq, params, pre, cfg)
+            if not last_only:
+                # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints;
+                # summed batch-major, so the maps do not depend on the layout
+                maps.temporal.append(
+                    np.ascontiguousarray(t_w.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1)))
+                maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
+            e = _aggregate(eq, [t_out, s_out], params, pre, cfg, training, rng)
         elif cfg.variant == "vanilla_1d":
             a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1, dtype, cfg.tau_mode))
-            maps.temporal.append(w.mean(axis=0))  # (H, T, T)
+            if not last_only:
+                maps.temporal.append(w.mean(axis=0))  # (H, T, T)
             e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         else:  # full_2d
             a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg,
                                      _causal_mask(t, n, dtype, cfg.tau_mode))
             a_out = tz.reshape(a_out, (b, t, n, d))
-            # (B, H, T, N, T, N): sum over attended axis, average the rest
-            w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
-            maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
-            maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
+            if not last_only:
+                # (B, H, T, N, T, N): sum over attended axis, average the rest
+                w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
+                maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
+                maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
             e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         if not np.all(np.isfinite(e.data)):
             raise NumericError(f"non-finite embeddings after attention block {l}")
@@ -392,12 +435,16 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     else:
         delta = tz.joint_linear(tz.transpose(e, (2, 0, 1, 3)), params["out.w"])
         delta = tz.add(tz.transpose(delta, (1, 2, 0, 3)), params["out.b"])
+    if delta.data.shape[1] < t:  # the trimmed last block's frames
+        xt = Tensor(x[:, t - delta.data.shape[1]:])
     pred = tz.add(xt, delta)
     if not np.all(np.isfinite(pred.data)):
         raise NumericError("non-finite values in final pose projection")
+    if last_only:
+        pred = Tensor(pred.data[:, -1:])
     if squeeze:
-        pred = tz.reshape(pred, (t, n, m))
-    return pred, maps, _forward_stats(cfg, b, t)
+        pred = tz.reshape(pred, pred.data.shape[1:])
+    return pred, maps, _forward_stats(cfg, b, t, tq)
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
@@ -429,7 +476,7 @@ def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray
     win = seeds.copy()
     out = np.empty((b, steps, n, m), dtype=np.float32)
     for s in range(steps):
-        pred, maps, _ = forward(params, cfg, win, training=False)
+        pred, maps, _ = forward(params, cfg, win, last_only=maps_out is None)
         if maps_out is not None:
             maps_out.append(maps)
         nxt = pred.data[:, -1]
@@ -480,27 +527,40 @@ def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
             fh.writelines(attention_rows(maps, step if with_step else None))
 
 
-def _forward_stats(cfg: ModelConfig, b: int, t: int) -> ForwardStats:
-    """ForwardStats of a forward pass over B windows of T frames."""
+def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
+    """ForwardStats of a forward pass over B windows of T frames whose last
+    block computes the query rows of its last `tq` frames (all T but in st's
+    trimmed pass)."""
     n, d = cfg.n_joints, cfg.embed_dim
-    if cfg.variant == "st":
-        scores = n * t * t + t * n * n
-    else:
-        scores = (n * t) ** 2 if cfg.variant == "full_2d" else t * t
-    tokens = b * t * (1 if cfg.variant == "vanilla_1d" else n)
+    per_frame = 1 if cfg.variant == "vanilla_1d" else n  # tokens per frame
+    tokens = b * t * per_frame
     streams = 2 if cfg.variant == "st" else 1
     ff_nets = 2 if cfg.variant == "st" and cfg.ff_per_branch else 1
-    per_layer = (streams * 5 * tokens * d                # Q, K, V, A@V, out projection
-                 + b * cfg.n_heads * scores             # weights (the scores' buffer)
-                 + ff_nets * tokens * (cfg.ff_size + d))  # feed-forward hidden and output
-    return ForwardStats([scores] * cfg.n_layers, tokens * d + cfg.n_layers * per_layer)
+
+    def layer(rows):  # (scores, workspace) of a block computing `rows` query frames
+        if cfg.variant == "st":
+            scores = n * rows * t + rows * n * n
+        else:
+            scores = (n * t) ** 2 if cfg.variant == "full_2d" else t * t
+        q_tokens = b * rows * per_frame
+        work = (streams * 5 * q_tokens * d            # Q, K, V, A@V, out projection
+                + 2 * (tokens - q_tokens) * d         # K and V of the other frames
+                + b * cfg.n_heads * scores            # weights (the scores' buffer)
+                + ff_nets * q_tokens * (cfg.ff_size + d))  # feed-forward hidden and output
+        return scores, work
+
+    layers = [layer(t)] * cfg.n_layers
+    if layers:
+        layers[-1] = layer(tq)
+    return ForwardStats([s for s, _ in layers], tokens * d + sum(w for _, w in layers))
 
 
 def estimate_workspace_elements(cfg: ModelConfig, batch: int, t: int | None = None) -> int:
     """Forward workspace elements for a batch of T-frame windows (default T:
     the configured window), as `forward` reports them in ForwardStats. Used
     for memory budgeting."""
-    return _forward_stats(cfg, batch, cfg.window if t is None else t).workspace_elements
+    t = cfg.window if t is None else t
+    return _forward_stats(cfg, batch, t, t).workspace_elements
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,17 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--n-windows" in err[0]
 
+    @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0"])
+    def test_bad_horizons_are_usage_errors(self, workdir, tmp_path, capsys, horizons):
+        out = tmp_path / "m.csv"
+        assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
+                         "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--horizons", horizons, "--n-windows", "2",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--horizons" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "rollout"])
     def test_checkpoint_missing_tensor_is_usage_error(self, workdir, tmp_path, capsys,
                                                       command):
@@ -231,6 +242,16 @@ class TestRollout:
         out = tmp_path / "p.stm1"
         assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
                          "--seed-file", str(seed_file), "--seconds", seconds,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--seconds" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan"])
+    def test_non_finite_seconds_is_usage_error(self, workdir, tmp_path, capsys, seconds):
+        out = tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--seed-file", str(workdir / "data.stm1"), "--seconds", seconds,
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--seconds" in err[0]

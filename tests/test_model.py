@@ -75,6 +75,15 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             mo.positional_encoding(4, 7)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_copy_is_read_only_and_equal(self, dtype):
+        cached = mo._positional_encoding(6, 8, np.dtype(dtype))
+        fresh = mo.positional_encoding(6, 8, dtype)
+        assert cached.dtype == fresh.dtype == dtype
+        np.testing.assert_array_equal(cached, fresh)
+        assert not cached.flags.writeable and fresh.flags.writeable
+        assert mo._positional_encoding(6, 8, np.dtype(dtype)) is cached
+
 
 class TestResidualIdentity:
     @pytest.mark.parametrize("variant", mo.VARIANTS)
@@ -163,11 +172,19 @@ class TestScoreCounters:
         dict(variant="st"), dict(variant="vanilla_1d"), dict(variant="full_2d"),
         dict(ff_per_branch=True), dict(spatial_sharing="all_shared"),
         dict(spatial_sharing="all_separate"), dict(tau_mode="sum_normalize"),
+        dict(last_only=True), dict(last_only=True, ff_per_branch=True),
+        dict(last_only=True, spatial_sharing="all_shared"),
+        dict(last_only=True, spatial_sharing="all_separate"),
+        dict(last_only=True, tau_mode="sum_normalize"),
+        dict(last_only=True, variant="vanilla_1d"), dict(last_only=True, variant="full_2d"),
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_workspace_matches_measured_ops(self, kw, monkeypatch):
         # measured: output sizes of every projection, weight and context op
         # of the pass, minus the final pose projection; the fused attention
-        # op's scores share the weights' buffer
+        # op's scores share the weights' buffer. A last_only st pass projects
+        # the last block's query frames; other variants run the full pass.
+        kw = dict(kw)
+        last_only = kw.pop("last_only", False)
         sizes = {"weights": 0, "all": 0}
 
         def spy(fn):
@@ -185,10 +202,17 @@ class TestScoreCounters:
         cfg = tiny_cfg(**kw)
         params = mo.init_params(cfg, np.random.default_rng(7))
         x = rand_window(cfg, b=2)
-        _, _, stats = mo.forward(params, cfg, x)
-        assert stats.workspace_elements == sizes["all"] - x.size
-        assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2, 8)
+        pred, maps, stats = mo.forward(params, cfg, x, last_only=last_only)
+        projected = x[:, -mo._last_block_frames(8):] if last_only and cfg.variant == "st" else x
+        assert stats.workspace_elements == sizes["all"] - projected.size
         assert sizes["weights"] == 2 * cfg.n_heads * sum(stats.scores_per_layer)
+        if last_only:
+            full, _, full_stats = mo.forward(params, cfg, x)
+            np.testing.assert_array_equal(pred.data, full.data[:, -1:])
+            assert maps.temporal == maps.spatial == []
+            assert stats.scores_per_layer[:-1] == full_stats.scores_per_layer[:-1]
+        else:
+            assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2, 8)
 
     def test_decoupled_cheaper_than_full_2d(self):
         n, t = 9, 32
@@ -469,6 +493,78 @@ class TestRollout:
         plain, no_maps = mo.rollout(params, cfg, seed, 3)
         np.testing.assert_array_equal(plain, out)
         assert no_maps == []
+
+
+class TestLastOnly:
+    """forward(last_only=True) computes only the last few frames' rows in
+    st's last block; rollouts use it unless they collect attention maps."""
+
+    @staticmethod
+    def _params(cfg, seed):
+        rng = np.random.default_rng(seed)
+        params = mo.init_params(cfg, rng)
+        params["out.w"].data[...] = 0.05 * rng.standard_normal(
+            params["out.w"].data.shape).astype(np.float32)
+        return params, rng
+
+    @staticmethod
+    def _assert_rollouts_equal(params, cfg, rng, batches, seed_lengths, steps):
+        from stmotion import so3
+        for b in batches:
+            for t in seed_lengths:
+                seeds = so3.random_rotations((b, t, cfg.n_joints), rng).reshape(
+                    b, t, cfg.n_joints, 9).astype(np.float32)
+                maps = []
+                full = mo.rollout_batch(params, cfg, seeds, steps, maps)
+                assert len(maps) == steps
+                trimmed = mo.rollout_batch(params, cfg, seeds, steps)
+                np.testing.assert_array_equal(trimmed, full, err_msg=f"B={b} T={t}")
+
+    @pytest.mark.parametrize("ff_per_branch", [False, True])
+    @pytest.mark.parametrize("sharing", mo.SHARING_MODES)
+    @pytest.mark.parametrize("tau", mo.TAU_MODES)
+    def test_rollout_equals_full_pass(self, tau, sharing, ff_per_branch):
+        # the window slides past the seed, so seeds shorter than W also
+        # cover every window length up to W
+        cfg = tiny_cfg(tau_mode=tau, spatial_sharing=sharing, ff_per_branch=ff_per_branch)
+        params, rng = self._params(cfg, 60)
+        self._assert_rollouts_equal(params, cfg, rng, (1, 2, 16), (1, 2, 3, cfg.window), 10)
+
+    @pytest.mark.parametrize("shape", [
+        dict(embed_dim=16, n_heads=2, window=120), dict(embed_dim=128, n_heads=8, window=32),
+        dict(embed_dim=16, n_heads=8, window=32), dict(embed_dim=12, n_heads=2, window=36),
+    ], ids=["desk_T120", "D128", "head_size_2", "head_size_6"])
+    def test_rollout_equals_full_pass_at_desk_shapes(self, shape):
+        # head sizes 2 and 6 reach gemm's remainder kernels, where a query
+        # slice not aligned to four rows differs from the full pass by ~1e-7
+        cfg = mo.ModelConfig(n_joints=9, n_layers=2, ff_size=2 * shape["embed_dim"],
+                             dropout=0.0, **shape)
+        params, rng = self._params(cfg, 61)
+        self._assert_rollouts_equal(params, cfg, rng, (1, 4), (cfg.window,), 3)
+        self._assert_rollouts_equal(params, cfg, rng, (16,), (1,), 16)
+
+    def test_last_block_frames(self):
+        # a multiple of four from the start, at least two frames, at most five
+        for t in range(1, 130):
+            tq = mo._last_block_frames(t)
+            assert (t - tq) % 4 == 0 and (tq == t <= 5 or 2 <= tq <= 5)
+
+    def test_returns_the_last_frame(self):
+        cfg = tiny_cfg()
+        params, _ = self._params(cfg, 62)
+        x = rand_window(cfg, b=1, seed=62)[0]
+        pred, maps, _ = mo.forward(params, cfg, x, last_only=True)
+        full, _, _ = mo.forward(params, cfg, x)
+        assert pred.data.shape == (1, cfg.n_joints, cfg.joint_dim)
+        np.testing.assert_array_equal(pred.data, full.data[-1:])
+        assert maps == mo.AttentionMaps()
+
+    def test_training_is_rejected(self):
+        cfg = tiny_cfg()
+        params = mo.init_params(cfg, np.random.default_rng(63))
+        with pytest.raises(ConfigError, match="last_only"):
+            mo.forward(params, cfg, rand_window(cfg), training=True,
+                       rng=np.random.default_rng(0), last_only=True)
 
 
 class TestForwardValidation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stmotion import so3
 
@@ -186,3 +187,62 @@ class TestCrossRepresentation:
         np.testing.assert_allclose(so3.wrap_angle(-np.pi), np.pi)
         np.testing.assert_allclose(so3.wrap_angle(2 * np.pi + 0.1), 0.1, atol=1e-12)
         np.testing.assert_allclose(so3.wrap_angle(-0.3), -0.3)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+unit_quats = (st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(np.array)
+              .filter(lambda q: np.linalg.norm(q) > 0.1)
+              .map(lambda q: q / np.linalg.norm(q)))
+rotations = unit_quats.map(so3.rotmat_from_quat)
+angles = st.floats(-np.pi, np.pi)
+
+
+def matrix(u, singular_values, v):
+    """u diag(s) v^T for rotations u, v; the singular values are |s|."""
+    return u @ np.diag(singular_values) @ v.T
+
+
+class TestProperties:
+    @given(unit_quats)
+    def test_quaternion_round_trip(self, q):
+        q2 = so3.quat_from_rotmat(so3.rotmat_from_quat(q))
+        assert q2[0] >= 0
+        assert min(np.abs(q2 - q).max(), np.abs(q2 + q).max()) < 1e-9
+
+    @given(rotations)
+    def test_rotmat_round_trip_through_quaternion_and_angleaxis(self, r):
+        # Euler angles lose precision near gimbal lock: tested apart below
+        for there, back in ((so3.quat_from_rotmat, so3.rotmat_from_quat),
+                            (so3.angleaxis_from_rotmat, so3.rotmat_from_angleaxis)):
+            np.testing.assert_allclose(back(there(r)), r, atol=1e-9)
+
+    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(np.array),
+           st.floats(0, np.pi - 1e-3))
+    def test_angleaxis_round_trip(self, direction, angle):
+        norm = np.linalg.norm(direction)
+        a = direction / norm * angle if norm > 1e-3 else np.zeros(3)
+        np.testing.assert_allclose(
+            so3.angleaxis_from_rotmat(so3.rotmat_from_angleaxis(a)), a, atol=1e-9)
+
+    @given(angles, st.floats(-np.pi / 2 + 1e-2, np.pi / 2 - 1e-2), angles)
+    def test_euler_round_trip_away_from_gimbal_lock(self, a, b, c):
+        e = np.array([a, b, c])
+        back = so3.euler_from_rotmat(so3.rotmat_from_euler(e))
+        np.testing.assert_allclose(so3.wrap_angle(back - e), 0.0, atol=1e-9)
+
+    @given(rotations, rotations, st.lists(st.floats(1e-6, 10), min_size=3, max_size=3),
+           st.booleans(), st.sampled_from([np.float32, np.float64]))
+    def test_projection_is_valid_and_idempotent(self, u, v, s, reflect, dtype):
+        a = matrix(u, np.array(s) * [1, 1, -1 if reflect else 1], v).astype(dtype)
+        p = so3.project_to_so3(a)
+        assert p.dtype == dtype
+        assert so3.is_valid_rotmat(p, tol=1e-6 if dtype == np.float32 else 1e-9)
+        np.testing.assert_array_equal(so3.project_to_so3(p), p)
+
+    @given(rotations, rotations, st.lists(st.floats(0, 10), min_size=2, max_size=2))
+    def test_projection_rejects_rank_two_or_less(self, u, v, s):
+        with pytest.raises(so3.DegenerateRotationError):
+            so3.project_to_so3(matrix(u, np.array(s + [0.0]), v))
