@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from . import evalmetrics, model, motiondata, training
 from .errors import ConfigError, NumericError
 from .so3 import DegenerateRotationError
 from .tensor import atomic_write
@@ -23,8 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_HORIZONS_MS = (100.0, 200.0, 300.0, 400.0)
-DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
+DEFAULT_HORIZONS_MS = "100,200,300,400"  # as --horizons takes them
+DEFAULT_MEMORY_BUDGET_MIB = 2048
 
 
 def _parse_config_file(path) -> dict:
@@ -55,28 +56,21 @@ def _coerce(value: str):
 
 
 def _build_configs(args, n_joints: int):
-    from .model import ModelConfig
-    from .training import TrainConfig
-
-    file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    mfields = {f for f in ModelConfig.__dataclass_fields__}
-    tfields = {f for f in TrainConfig.__dataclass_fields__}
-    mkw = {k: v for k, v in file_cfg.items() if k in mfields}
-    tkw = {k: v for k, v in file_cfg.items() if k in tfields}
+    file_cfg = _parse_config_file(args.config) if args.config else {}
+    mfields = set(model.ModelConfig.__dataclass_fields__)
+    tfields = set(training.TrainConfig.__dataclass_fields__)
     unknown = set(file_cfg) - mfields - tfields
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # flags override file values
-    for key in ("variant", "tau_mode", "spatial_sharing"):
-        v = getattr(args, key, None)
-        if v is not None:
-            mkw[key] = v
-    for key in ("steps", "seed", "batch_size", "warmup"):
-        v = getattr(args, key, None)
-        if v is not None:
-            tkw["max_steps" if key == "steps" else key] = v
-    mkw["n_joints"] = n_joints
-    return ModelConfig(**mkw), TrainConfig(**tkw)
+    # flags override file values; --tau sum is the sum_normalize mode
+    flags = {"variant": args.variant, "spatial_sharing": args.spatial_sharing,
+             "tau_mode": "sum_normalize" if args.tau == "sum" else args.tau,
+             "max_steps": args.steps, "seed": args.seed,
+             "batch_size": args.batch_size, "warmup": args.warmup}
+    kw = {**file_cfg, **{k: v for k, v in flags.items() if v is not None},
+          "n_joints": n_joints}
+    return (model.ModelConfig(**{k: v for k, v in kw.items() if k in mfields}),
+            training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +79,6 @@ def _build_configs(args, n_joints: int):
 
 
 def cmd_synth(args) -> int:
-    from . import motiondata
-
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
     if args.skeleton == "default":
@@ -106,14 +98,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import model, motiondata, training
-
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
 
-    from .model import estimate_workspace_elements
     budget = args.memory_budget * 1024 ** 2
-    estimate = 4 * estimate_workspace_elements(cfg, tcfg.batch_size)
+    estimate = 4 * model.estimate_workspace_elements(cfg, tcfg.batch_size)
     if estimate > budget:
         raise ConfigError(
             f"estimated workspace {estimate / 1e6:.0f} MB exceeds the "
@@ -125,29 +114,24 @@ def cmd_train(args) -> int:
     val_seqs = [motiondata.MotionSequence(seq.skeleton, seq.rotations[split:], seq.frame_rate)]
 
     os.makedirs(args.out_dir, exist_ok=True)
+    out = functools.partial(os.path.join, args.out_dir)
     params = model.init_params(cfg, np.random.default_rng(tcfg.seed))
     try:
         result = training.train(params, cfg, tcfg, train_seqs, val_seqs)
-    except NumericError as err:
-        result = getattr(err, "result", None)
-        if result is not None:
-            model.save_checkpoint(os.path.join(args.out_dir, "best.stt1"),
-                                  cfg, result.params)
-            training.write_history_csv(os.path.join(args.out_dir, "history.csv"),
-                                       result.history)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    model.save_checkpoint(os.path.join(args.out_dir, "best.stt1"), cfg, result.params)
-    model.save_checkpoint(os.path.join(args.out_dir, "final.stt1"), cfg, result.final_params)
-    training.write_history_csv(os.path.join(args.out_dir, "history.csv"), result.history)
+        failure = None
+    except NumericError as err:  # keep the best parameters so far
+        result, failure = err.result, err
+    model.save_checkpoint(out("best.stt1"), cfg, result.params)
+    training.write_history_csv(out("history.csv"), result.history)
+    if failure is not None:
+        raise failure
+    model.save_checkpoint(out("final.stt1"), cfg, result.final_params)
     print(f"trained {len(result.history)} steps; best val geodesic "
           f"{result.best_val:.5f} at step {result.best_step}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    from . import evalmetrics, model, motiondata, training
-
     if args.n_windows < 1:
         raise ConfigError(f"--n-windows must be >= 1, got {args.n_windows}")
     try:
@@ -188,8 +172,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    from . import model, motiondata
-
     if not math.isfinite(args.seconds):
         raise ConfigError(f"--seconds must be finite, got {args.seconds:g}")
     cfg, params = model.load_checkpoint(args.checkpoint)
@@ -215,8 +197,6 @@ DEFAULT_BENCH_GRID = "2,16,2;2,32,2;4,50,4"
 
 
 def cmd_bench(args) -> int:
-    from . import model as m
-
     triples = []
     for part in args.grid.split(";"):
         vals = [int(v) for v in part.split(",")]
@@ -234,21 +214,21 @@ def cmd_bench(args) -> int:
 
     rows = []
     for layers, win, batch in triples:
-        cfg = m.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
+        cfg = model.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
                             n_layers=layers, n_heads=args.heads,
                             ff_size=2 * args.embed_dim, window=win, dropout=0.0,
                             variant=args.variant)
-        est_bytes = 4 * m.estimate_workspace_elements(cfg, batch)
+        est_bytes = 4 * model.estimate_workspace_elements(cfg, batch)
         if est_bytes > budget:
             rows.append((layers, win, batch, "OOM", "", "", ""))
             continue
-        params = m.init_params(cfg, rng)
+        params = model.init_params(cfg, rng)
         x = rng.standard_normal((batch, win, args.n_joints, 9)).astype(np.float32)
-        _, _, stats = m.forward(params, cfg, x)  # warmup
+        _, _, stats = model.forward(params, cfg, x)  # warmup
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            _, _, stats = m.forward(params, cfg, x)
+            _, _, stats = model.forward(params, cfg, x)
             times.append(time.perf_counter() - t0)
         per_layer = stats.scores_per_layer[0]
         rows.append((layers, win, batch, "ok", per_layer,
@@ -291,22 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--config", help="flat key = value config file")
     t.add_argument("--out-dir", required=True, dest="out_dir")
-    t.add_argument("--variant", choices=("st", "vanilla_1d", "full_2d"))
-    t.add_argument("--tau", choices=("softmax", "sum"), dest="tau")
-    t.add_argument("--sharing", choices=("query_separate", "all_separate", "all_shared"),
-                   dest="spatial_sharing")
+    t.add_argument("--variant", choices=model.VARIANTS)
+    t.add_argument("--tau", choices=("softmax", "sum"))
+    t.add_argument("--sharing", choices=model.SHARING_MODES, dest="spatial_sharing")
     t.add_argument("--steps", type=int)
     t.add_argument("--seed", type=int)
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--warmup", type=int)
-    t.add_argument("--memory-budget", type=int, default=2048, dest="memory_budget",
+    t.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
+                   dest="memory_budget",
                    help="workspace budget in MiB")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint against held-out windows")
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--horizons", default="100,200,300,400",
+    e.add_argument("--horizons", default=DEFAULT_HORIZONS_MS,
                    help="comma-separated milliseconds")
     e.add_argument("--n-windows", type=int, default=16, dest="n_windows")
     e.add_argument("--seed", type=int, default=0)
@@ -333,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--heads", type=int, default=2)
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--memory-budget", type=int, default=2048, dest="memory_budget",
+    b.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
+                   dest="memory_budget",
                    help="workspace budget in MiB")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
@@ -346,11 +327,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # --tau sum maps to the sum_normalize mode
-    if getattr(args, "tau", None):
-        args.tau_mode = "softmax" if args.tau == "softmax" else "sum_normalize"
-    else:
-        args.tau_mode = None
     try:
         return args.func(args)
     except (NumericError, DegenerateRotationError) as err:  # the latter is a ValueError

@@ -31,8 +31,14 @@ def _mats(x: np.ndarray) -> np.ndarray:
 
 
 def horizon_frames(horizons_ms, frame_rate: float) -> list[int]:
-    frames = [max(1, round(h / 1000.0 * frame_rate)) for h in horizons_ms]
-    return frames
+    return [max(1, round(h / 1000.0 * frame_rate)) for h in horizons_ms]
+
+
+def _horizon_means(per_frame: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
+    """Mean of a (B, T, ...) error array over sequences and the frames up to
+    each horizon."""
+    return {h: float(per_frame[:, :f].mean())
+            for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
 
 
 def metric_euler(pred, target, horizons_ms, frame_rate: float) -> dict[float, float]:
@@ -46,8 +52,7 @@ def metric_euler(pred, target, horizons_ms, frame_rate: float) -> dict[float, fl
     et = so3.euler_from_rotmat(_mats(target))
     diff = so3.wrap_angle(ep - et)                      # (B, T, N, 3)
     per_frame = np.sqrt((diff ** 2).sum(axis=(2, 3)))   # (B, T)
-    return {h: float(per_frame[:, :f].mean())
-            for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
+    return _horizon_means(per_frame, horizons_ms, frame_rate)
 
 
 def metric_geodesic(pred, target, horizons_ms, frame_rate: float) -> dict[float, float]:
@@ -56,8 +61,7 @@ def metric_geodesic(pred, target, horizons_ms, frame_rate: float) -> dict[float,
     if pred.shape != target.shape:
         raise ValueError("pred/target shape mismatch")
     ang = so3.geodesic_angle(_mats(pred), _mats(target))  # (B, T, N)
-    return {h: float(ang[:, :f].mean())
-            for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
+    return _horizon_means(ang, horizons_ms, frame_rate)
 
 
 def positional_errors(pred, target, skeleton: Skeleton) -> np.ndarray:
@@ -70,12 +74,7 @@ def positional_errors(pred, target, skeleton: Skeleton) -> np.ndarray:
 
 def metric_positional(pred, target, skeleton: Skeleton, horizons_ms,
                       frame_rate: float) -> dict[float, float]:
-    return _positional(positional_errors(pred, target, skeleton), horizons_ms, frame_rate)
-
-
-def _positional(err: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
-    return {h: float(err[:, :f].mean())
-            for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
+    return _horizon_means(positional_errors(pred, target, skeleton), horizons_ms, frame_rate)
 
 
 DEFAULT_PCK_THRESHOLDS = tuple(float(t) for t in range(0, 301, 10))  # mm
@@ -259,7 +258,7 @@ def full_report(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float
     eu = metric_euler(pred, target, horizons_ms, frame_rate)
     ge = metric_geodesic(pred, target, horizons_ms, frame_rate)
     err = positional_errors(pred, target, skeleton)
-    po = _positional(err, horizons_ms, frame_rate)
+    po = _horizon_means(err, horizons_ms, frame_rate)
     pk = _pck_auc(err, horizons_ms, frame_rate, np.asarray(DEFAULT_PCK_THRESHOLDS))
     return {h: {"euler": eu[h], "geodesic": ge[h],
                 "positional_mm": po[h], "pck_auc": pk[h]} for h in horizons_ms}

@@ -197,11 +197,14 @@ def param_count(params: dict[str, Tensor]) -> int:
     return sum(t.data.size for t in params.values())
 
 
+def _config_param_count(cfg: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(cfg).values())
+
+
 def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
     """A vanilla_1d config whose parameter count best matches the given ST
     config (embedding width chosen from multiples of n_heads)."""
-    rng = np.random.default_rng(0)
-    target = param_count(init_params(cfg, rng))
+    target = _config_param_count(cfg)
     best = None
     for d in range(cfg.n_heads, 16 * cfg.embed_dim + 1, cfg.n_heads):
         cand = ModelConfig(
@@ -209,7 +212,7 @@ def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
             n_layers=cfg.n_layers, n_heads=cfg.n_heads, ff_size=2 * d,
             window=cfg.window, dropout=cfg.dropout, tau_mode=cfg.tau_mode,
             variant="vanilla_1d")
-        count = param_count(init_params(cand, rng))
+        count = _config_param_count(cand)
         diff = abs(count - target)
         if best is None or diff < best[0]:
             best = (diff, cand)

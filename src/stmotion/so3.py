@@ -213,10 +213,7 @@ def project_to_so3(A) -> np.ndarray:
     A = np.asarray(A)
     single = A.ndim == 2
     B = _f64(A if not single else A[None])
-    gram = np.swapaxes(B, -1, -2) @ B
-    dev = np.abs(gram - np.eye(3)).max(axis=(-1, -2))
-    det = np.linalg.det(B)
-    clean = (dev <= _VALID_TOL) & (np.abs(det - 1.0) <= _VALID_TOL)
+    clean = is_valid_rotmat(B, _VALID_TOL)
     out = np.array(A if not single else A[None], copy=True)
     if not np.all(clean):
         dirty = ~clean

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tz
+from . import evalmetrics, tensor as tz
 from .errors import NumericError
 from .model import ModelConfig, forward, rollout_batch
 from .motiondata import MotionSequence, shift_targets, augment_mirror, augment_reverse
@@ -114,18 +114,13 @@ def validation_metrics(params, cfg: ModelConfig, val_windows: np.ndarray,
     against ground truth at the validation horizon.
 
     val_windows: (W, T_seed + horizon, N, 9)."""
-    from . import evalmetrics
-
     t_seed = val_windows.shape[1] - horizon_frames
     pred = rollout_batch(params, cfg, val_windows[:, :t_seed], horizon_frames)
-    truth = val_windows[:, t_seed:]
     horizon_ms = horizon_frames / frame_rate * 1000.0
-    return {
-        "val_euler": evalmetrics.metric_euler(pred, truth, [horizon_ms], frame_rate)[horizon_ms],
-        "val_geodesic": evalmetrics.metric_geodesic(pred, truth, [horizon_ms], frame_rate)[horizon_ms],
-        "val_positional": evalmetrics.metric_positional(
-            pred, truth, skeleton, [horizon_ms], frame_rate)[horizon_ms],
-    }
+    report = evalmetrics.full_report(pred, val_windows[:, t_seed:], skeleton,
+                                     [horizon_ms], frame_rate)[horizon_ms]
+    return {"val_euler": report["euler"], "val_geodesic": report["geodesic"],
+            "val_positional": report["positional_mm"]}
 
 
 def _window_starts(seqs: list[MotionSequence], count: int, length: int,
@@ -192,58 +187,56 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
           train_seqs: list[MotionSequence], val_seqs: list[MotionSequence]) -> TrainResult:
     """Run the full training loop; deterministic given the config seed.
 
-    Raises NumericError on a non-finite loss; the exception carries the best
-    checkpoint so far in its ``result`` attribute."""
+    Raises NumericError on non-finite values in training or validation; the
+    exception carries the best checkpoint so far in its ``result`` attribute."""
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState(params)
     fps = train_seqs[0].frame_rate
-    horizon = max(1, round(tcfg.val_horizon_ms / 1000.0 * fps))
+    horizon, = evalmetrics.horizon_frames([tcfg.val_horizon_ms], fps)
     val_rng = np.random.default_rng(tcfg.seed + 1)
     val_windows = make_eval_windows(val_seqs, tcfg.n_val_windows,
                                     cfg.window + horizon, val_rng)
 
     result = TrainResult(params=_clone_params(params), final_params=params)
     since_best = 0
-    for step in range(1, tcfg.max_steps + 1):
-        batch = sample_batch(train_seqs, tcfg.batch_size, cfg.window + 1, rng,
-                             tcfg.reverse_prob, tcfg.mirror_prob)
-        try:
+    try:
+        for step in range(1, tcfg.max_steps + 1):
+            batch = sample_batch(train_seqs, tcfg.batch_size, cfg.window + 1, rng,
+                                 tcfg.reverse_prob, tcfg.mirror_prob)
             with Tape() as tape:
                 pred, _, _ = forward(params, cfg, batch.inputs, training=True, rng=rng)
                 loss = loss_per_joint_l2(pred, batch.targets)
-        except NumericError as err:
-            err.result = result
-            raise
-        loss_val = float(loss.data)
-        if not math.isfinite(loss_val):
-            err = NumericError(f"non-finite loss at step {step}")
-            err.result = result
-            raise err
-        for p in params.values():
-            p.zero_grad()
-        backward(loss, tape)
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in params.items()}
-        grads, _ = clip_global_norm(grads, tcfg.max_grad_norm)
-        lr = noam_lr(step, cfg.embed_dim, tcfg.warmup)
-        adam_step(params, grads, state, lr)
+            loss_val = float(loss.data)
+            if not math.isfinite(loss_val):
+                raise NumericError(f"non-finite loss at step {step}")
+            for p in params.values():
+                p.zero_grad()
+            backward(loss, tape)
+            grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                     for k, p in params.items()}
+            grads, _ = clip_global_norm(grads, tcfg.max_grad_norm)
+            lr = noam_lr(step, cfg.embed_dim, tcfg.warmup)
+            adam_step(params, grads, state, lr)
 
-        row = {"step": step, "loss": loss_val, "lr": lr,
-               "val_euler": None, "val_geodesic": None, "val_positional": None}
-        if step % tcfg.eval_every == 0 or step == tcfg.max_steps:
-            row.update(validation_metrics(params, cfg, val_windows, horizon,
-                                          val_seqs[0].skeleton, fps))
-            val = row["val_geodesic"]
-            if val < result.best_val:
-                result.best_val = val
-                result.best_step = step
-                result.params = _clone_params(params)
-                since_best = 0
-            else:
-                since_best += 1
-        result.history.append(row)
-        if since_best >= tcfg.patience:
-            break
+            row = {"step": step, "loss": loss_val, "lr": lr,
+                   "val_euler": None, "val_geodesic": None, "val_positional": None}
+            if step % tcfg.eval_every == 0 or step == tcfg.max_steps:
+                row.update(validation_metrics(params, cfg, val_windows, horizon,
+                                              val_seqs[0].skeleton, fps))
+                val = row["val_geodesic"]
+                if val < result.best_val:
+                    result.best_val = val
+                    result.best_step = step
+                    result.params = _clone_params(params)
+                    since_best = 0
+                else:
+                    since_best += 1
+            result.history.append(row)
+            if since_best >= tcfg.patience:
+                break
+    except NumericError as err:
+        err.result = result
+        raise
     return result
 
 
