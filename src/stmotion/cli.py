@@ -73,6 +73,17 @@ def _build_configs(args, n_joints: int):
             training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
 
+def _frames(flag: str, value: float, fps: float, per_second: float = 1.0) -> int:
+    """The frame count at `fps` of `value`, given in 1/per_second seconds: the
+    rule `eval --horizons` and `rollout --seconds` share. A span that is not
+    finite or rounds to no frame is a ConfigError naming `flag`."""
+    span = value / per_second * fps
+    if not (math.isfinite(span) and round(span) >= 1):
+        raise ConfigError(f"{flag} {value:g} spans {span:g} frames at {fps:g} fps; "
+                          f"need a finite number that rounds to at least one")
+    return round(span)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -136,10 +147,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--n-windows must be >= 1, got {args.n_windows}")
     try:
         horizons = [float(h) for h in args.horizons.split(",")]
-        if not all(0 < h < math.inf for h in horizons):  # also false for nan
-            raise ValueError
     except ValueError:
-        raise ConfigError(f"--horizons must be positive finite milliseconds, "
+        raise ConfigError(f"--horizons must be comma-separated milliseconds, "
                           f"got {args.horizons!r}") from None
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
@@ -147,7 +156,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint expects {cfg.n_joints} joints, data has {seq.skeleton.n_joints}")
     fps = seq.frame_rate
-    max_h = max(evalmetrics.horizon_frames(horizons, fps))
+    max_h = max(_frames("--horizons", h, fps, per_second=1000.0) for h in horizons)
 
     rng = np.random.default_rng(args.seed)
     windows = training.make_eval_windows([seq], args.n_windows, cfg.window + max_h, rng)
@@ -172,15 +181,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    if not math.isfinite(args.seconds):
-        raise ConfigError(f"--seconds must be finite, got {args.seconds:g}")
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()
-    steps = int(round(args.seconds * seed_seq.frame_rate))
-    if steps < 1:
-        raise ConfigError(f"--seconds {args.seconds:g} gives {steps} frames at "
-                          f"{seed_seq.frame_rate:g} fps; need at least one")
+    steps = _frames("--seconds", args.seconds, seed_seq.frame_rate)
+    out_mib = 4 * steps * cfg.n_joints * cfg.joint_dim / 1024 ** 2
+    if out_mib > DEFAULT_MEMORY_BUDGET_MIB:
+        raise ConfigError(f"--seconds {args.seconds:g} gives {steps} frames, "
+                          f"{out_mib:.0f} MiB of output, over the "
+                          f"{DEFAULT_MEMORY_BUDGET_MIB} MiB budget")
     pred, maps = model.rollout(params, cfg, seed, steps,
                                collect_attention=bool(args.dump_attention))
     out_seq = motiondata.MotionSequence(
@@ -215,9 +224,9 @@ def cmd_bench(args) -> int:
     rows = []
     for layers, win, batch in triples:
         cfg = model.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
-                            n_layers=layers, n_heads=args.heads,
-                            ff_size=2 * args.embed_dim, window=win, dropout=0.0,
-                            variant=args.variant)
+                                n_layers=layers, n_heads=args.heads,
+                                ff_size=2 * args.embed_dim, window=win, dropout=0.0,
+                                variant=args.variant)
         est_bytes = 4 * model.estimate_workspace_elements(cfg, batch)
         if est_bytes > budget:
             rows.append((layers, win, batch, "OOM", "", "", ""))
@@ -279,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--warmup", type=int)
     t.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
-                   dest="memory_budget",
-                   help="workspace budget in MiB")
+                   dest="memory_budget", help="workspace budget in MiB")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint against held-out windows")
@@ -314,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
-                   dest="memory_budget",
-                   help="workspace budget in MiB")
+                   dest="memory_budget", help="workspace budget in MiB")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
     return p

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields
 from .motiondata import JOINT_DIM
 from .so3 import project_to_so3
 from .tensor import Tensor
@@ -55,7 +55,9 @@ class ModelConfig:
     ff_per_branch: bool = False
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
+        check_fields(self, counts=("n_joints", "joint_dim", "embed_dim", "n_layers",
+                                   "n_heads", "ff_size", "window"))
+        if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be divisible by n_heads {self.n_heads}")
         if self.tau_mode not in TAU_MODES:

@@ -9,6 +9,7 @@ reverse / mirror augmentations.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -154,6 +155,8 @@ class JointMotionSpec:
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=np.float64)
+        if self.axis.shape != (3,):
+            raise ValueError(f"axis must be a 3-vector, got shape {self.axis.shape}")
         norm = np.linalg.norm(self.axis)
         if norm == 0:
             raise ValueError("axis must be nonzero")
@@ -259,6 +262,18 @@ def shift_targets(windows: list[MotionSequence]) -> WindowedBatch:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _file_errors(kind: str, path):
+    """Turn what a malformed file makes its parser raise into a one-line
+    ConfigError naming the file."""
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{kind} {path}: no {err} entry") from None
+    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as err:
+        raise ConfigError(f"{kind} {path}: {err}") from None
+
+
 def save_motion(path, seq: MotionSequence):
     """A record (see `tensor.save_record`): the frame rate and the skeleton
     in the header, the rotations as the one tensor."""
@@ -271,16 +286,12 @@ def load_motion(path) -> MotionSequence:
     """Read what `save_motion` wrote; a bad or incomplete header, or rotations
     that do not fit the skeleton, are a ConfigError naming the file."""
     header, tensors = tz.load_record(path)
-    try:
+    with _file_errors("motion file", path):
         header = json.loads(header)
         rate = header["frame_rate"]
         if not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
             raise ValueError(f"frame_rate {rate!r} is not a positive number")
         return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
-    except KeyError as err:
-        raise ConfigError(f"motion file {path}: no {err} entry") from None
-    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as err:
-        raise ConfigError(f"motion file {path}: {err}") from None
 
 
 def export_positions_csv(path, seq: MotionSequence):
@@ -295,29 +306,29 @@ def export_positions_csv(path, seq: MotionSequence):
 
 
 def skeleton_from_json(path) -> Skeleton:
-    with open(path) as fh:
-        try:
-            return Skeleton(**json.load(fh))
-        except (TypeError, ValueError, IndexError, OverflowError) as err:
-            raise ConfigError(f"skeleton file {path}: {err}") from None
+    with open(path) as fh, _file_errors("skeleton file", path):
+        return Skeleton(**json.load(fh))
 
 
 def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpec], float]:
     """Load a per-joint sinusoid spec file; returns (specs, noise_std).
 
     Joints may be referenced by index or by name."""
-    with open(path) as fh:
+    with open(path) as fh, _file_errors("spec file", path):
         d = json.load(fh)
-    specs = []
-    for item in d["joints"]:
-        joint = item["joint"]
-        if isinstance(joint, str):
-            joint = skeleton.joint_names.index(joint)
-        specs.append(JointMotionSpec(
-            joint=joint,
-            axis=np.asarray(item["axis"], dtype=np.float64),
-            amplitude=float(item["amplitude"]),
-            frequency=float(item["frequency"]),
-            phase=float(item.get("phase", 0.0)),
-        ))
-    return specs, float(d.get("noise_std", 0.0))
+        specs = []
+        for item in d["joints"]:
+            joint = item["joint"]
+            if isinstance(joint, str):
+                joint = skeleton.joint_names.index(joint)
+            elif type(joint) is not int or not 0 <= joint < skeleton.n_joints:
+                raise ValueError(f"joint {joint!r} is neither a joint name nor an "
+                                 f"index below {skeleton.n_joints}")
+            specs.append(JointMotionSpec(
+                joint=joint,
+                axis=np.asarray(item["axis"], dtype=np.float64),
+                amplitude=float(item["amplitude"]),
+                frequency=float(item["frequency"]),
+                phase=float(item.get("phase", 0.0)),
+            ))
+        return specs, float(d.get("noise_std", 0.0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evalmetrics, tensor as tz
-from .errors import NumericError
+from .errors import ConfigError, NumericError, check_fields
 from .model import ModelConfig, forward, rollout_batch
 from .motiondata import MotionSequence, shift_targets, augment_mirror, augment_reverse
 from .tensor import Tape, Tensor, backward
@@ -37,10 +37,15 @@ class TrainConfig:
     val_horizon_ms: float = 400.0
 
     def __post_init__(self):
-        if self.warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive")
+        check_fields(self, counts=("batch_size", "warmup", "max_steps", "eval_every",
+                                   "patience", "n_val_windows"))
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
+        if not self.max_grad_norm > 0:
+            raise ConfigError(f"max_grad_norm {self.max_grad_norm!r} must be positive")
+        if not 0 < self.val_horizon_ms < math.inf:
+            raise ConfigError(f"val_horizon_ms {self.val_horizon_ms!r} must be positive "
+                              f"and finite")
 
 
 def loss_per_joint_l2(pred: Tensor, target: np.ndarray) -> Tensor:

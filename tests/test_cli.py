@@ -70,6 +70,24 @@ class TestSynth:
         assert not np.allclose(seq.rotations[:, head], np.eye(3), atol=1e-3)
         assert np.abs(seq.rotations[:, 0] - np.eye(3)).max() < 1e-5
 
+    @pytest.mark.parametrize("spec, named", [
+        ({}, "no 'joints' entry"),
+        ({"joints": [{"joint": 1, "amplitude": 0.3, "frequency": 1.0}]}, "no 'axis' entry"),
+        ([1], "list indices"),
+        ({"joints": [{"joint": 99, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0}]},
+         "joint 99"),
+        ({"joints": [{"joint": 1, "axis": [1], "amplitude": 0.3, "frequency": 1.0}]},
+         "axis must be a 3-vector"),
+    ], ids=["empty", "no_axis", "list", "joint_99", "short_axis"])
+    def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
+        path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["synth", "--frames", "10", "--spec", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"spec file {path}: {named}" in err[0], err
+        assert not out.exists()
+
     def test_bad_frames_is_usage_error(self, tmp_path):
         assert cli.main(["synth", "--frames", "0",
                          "--out", str(tmp_path / "x.stm1")]) == 2
@@ -114,6 +132,71 @@ class TestTrain:
         assert cfg.variant == "vanilla_1d"
         assert "l0.a.wq" in params
         assert len((d / "history.csv").read_text().strip().split("\n")) == 3
+
+    def test_tau_and_sharing_flags_reach_the_checkpoint(self, workdir, tmp_path):
+        d = tmp_path / "ablation"
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(workdir / "tiny.cfg"), "--steps", "2",
+                         "--tau", "sum", "--sharing", "all_separate",
+                         "--out-dir", str(d)]) == 0
+        for name in ("best.stt1", "final.stt1"):
+            header = json.loads((d / name).read_bytes().split(b"\n", 1)[0])
+            assert (header["tau_mode"], header["spatial_sharing"]) == (
+                "sum_normalize", "all_separate")
+
+    def test_numeric_failure_keeps_best_and_history(self, workdir, tmp_path, capsys):
+        # the held-out last tenth is NaN: step 1 trains, the validation at
+        # step 2 fails
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        rotations = seq.rotations.copy()
+        rotations[int(seq.n_frames * 0.9):] = np.nan
+        data = tmp_path / "nan_tail.stm1"
+        motiondata.save_motion(data, motiondata.MotionSequence(
+            seq.skeleton, rotations, seq.frame_rate))
+        d = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "tiny.cfg"),
+                         "--out-dir", str(d)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "non-finite" in err[0], err
+        assert sorted(f.name for f in d.iterdir()) == ["best.stt1", "history.csv"]
+        cfg, _ = model.load_checkpoint(d / "best.stt1")
+        assert cfg.embed_dim == 8
+        assert len((d / "history.csv").read_text().strip().split("\n")) == 1 + 1
+
+    @pytest.mark.parametrize("line, named", [
+        ("embed_dim = abc", "embed_dim 'abc' must be int"),
+        ("dropout = high", "dropout 'high' must be float"),
+        ("embed_dim = 16.0", "embed_dim 16.0 must be int"),
+        ("n_layers = 1.5", "n_layers 1.5 must be int"),
+        ("batch_size = 4.5", "batch_size 4.5 must be int"),
+        ("seed = x", "seed 'x' must be int"),
+        ("eval_every = 0", "eval_every 0 must be >= 1"),
+        ("embed_dim = 0", "embed_dim 0 must be >= 1"),
+        ("n_val_windows = 0", "n_val_windows 0 must be >= 1"),
+        ("patience = 0", "patience 0 must be >= 1"),
+        ("val_horizon_ms = inf", "val_horizon_ms inf"),
+    ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
+            "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
+            "patience_0", "val_horizon_inf"])
+    def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + line + "\n")
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, named", [
+        ("--steps", "max_steps 0 must be >= 1"),
+        ("--batch-size", "batch_size 0 must be >= 1"),
+    ], ids=["steps", "batch_size"])
+    def test_zero_count_flag_is_usage_error(self, workdir, tmp_path, capsys, flag, named):
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(workdir / "tiny.cfg"), flag, "0",
+                         "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
 
     def test_unknown_config_key(self, workdir, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -177,7 +260,23 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--n-windows" in err[0]
 
-    @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0"])
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_checkpoint_header_with_a_wrong_type(self, workdir, tmp_path, capsys, command):
+        header, tensors = (workdir / "run" / "best.stt1").read_bytes().split(b"\n", 1)
+        values = json.loads(header)
+        values["n_layers"] = 1.5
+        ckpt = tmp_path / "float_layers.stt1"
+        ckpt.write_bytes(json.dumps(values).encode() + b"\n" + tensors)
+        data = str(workdir / "data.stm1")
+        args = (["--data", data] if command == "eval"
+                else ["--seed-file", data, "--seconds", "0.05"])
+        assert cli.main([command, "--checkpoint", str(ckpt), *args,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"checkpoint {ckpt}" in err[0] and "n_layers 1.5" in err[0]
+
+    # "1" and "100,8" round to zero frames at 60 fps
+    @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0", "1", "100,8"])
     def test_bad_horizons_are_usage_errors(self, workdir, tmp_path, capsys, horizons):
         out = tmp_path / "m.csv"
         assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
@@ -255,6 +354,22 @@ class TestRollout:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--seconds" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds, named", [
+        ("1e12", "MiB budget"), ("1e308", "inf frames")], ids=["1e12", "1e308"])
+    def test_output_too_large_is_usage_error(self, workdir, tmp_path, capsys,
+                                             seconds, named):
+        seed_file = tmp_path / "seed.stm1"
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:8], seq.frame_rate))
+        out = tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--seed-file", str(seed_file), "--seconds", seconds,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--seconds" in err[0] and named in err[0], err
         assert not out.exists()
 
     def test_seed_longer_than_window(self, workdir, tmp_path):

@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_heads 0"):
             mo.ModelConfig(n_heads=0)
 
+    @pytest.mark.parametrize("kw, named", [
+        (dict(ff_per_branch=1), "ff_per_branch 1 must be bool"),
+        (dict(n_layers=True), "n_layers True must be int"),
+        (dict(window=0), "window 0 must be >= 1"),
+    ], ids=["int_for_bool", "bool_for_int", "zero_window"])
+    def test_bad_value_names_the_field(self, kw, named):
+        with pytest.raises(ConfigError, match=named):
+            mo.ModelConfig(**kw)
+
     def test_unknown_modes(self):
         with pytest.raises(ConfigError):
             mo.ModelConfig(tau_mode="max")

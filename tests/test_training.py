@@ -4,7 +4,7 @@ import pytest
 from stmotion import model as mo
 from stmotion import motiondata as md
 from stmotion import training as tr
-from stmotion.errors import NumericError
+from stmotion.errors import ConfigError, NumericError
 from stmotion.tensor import Tensor
 
 
@@ -275,6 +275,30 @@ class TestTrainLoop:
             tr.train(params, cfg, tcfg, seqs, seqs)
         assert hasattr(exc.value, "result")
         assert isinstance(exc.value.result, tr.TrainResult)
+
+    def test_validation_failure_carries_partial_result(self, monkeypatch):
+        def failing_validation(*args):
+            raise NumericError("non-finite validation")
+        monkeypatch.setattr(tr, "validation_metrics", failing_validation)
+        cfg, params = tiny_setup()
+        tcfg = tr.TrainConfig(batch_size=2, warmup=10, max_steps=3, eval_every=2,
+                              seed=4, n_val_windows=2)
+        seqs = make_seqs()
+        with pytest.raises(NumericError) as exc:
+            tr.train(params, cfg, tcfg, seqs, seqs)
+        assert [row["step"] for row in exc.value.result.history] == [1]
+
+    @pytest.mark.parametrize("kw, named", [
+        (dict(seed=-1), "seed -1 must be >= 0"),
+        (dict(max_grad_norm=float("nan")), "max_grad_norm nan"),
+        (dict(val_horizon_ms=0.0), "val_horizon_ms 0.0"),
+    ], ids=["negative_seed", "nan_norm", "zero_horizon"])
+    def test_bad_value_names_the_field(self, kw, named):
+        with pytest.raises(ConfigError, match=named):
+            tr.TrainConfig(**kw)
+
+    def test_int_passes_for_a_float_field(self):
+        assert tr.TrainConfig(max_grad_norm=2).max_grad_norm == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
