@@ -73,17 +73,6 @@ def _build_configs(args, n_joints: int):
             training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
 
-def _frames(flag: str, value: float, fps: float, per_second: float = 1.0) -> int:
-    """The frame count at `fps` of `value`, given in 1/per_second seconds: the
-    rule `eval --horizons` and `rollout --seconds` share. A span that is not
-    finite or rounds to no frame is a ConfigError naming `flag`."""
-    span = value / per_second * fps
-    if not (math.isfinite(span) and round(span) >= 1):
-        raise ConfigError(f"{flag} {value:g} spans {span:g} frames at {fps:g} fps; "
-                          f"need a finite number that rounds to at least one")
-    return round(span)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -92,14 +81,25 @@ def _frames(flag: str, value: float, fps: float, per_second: float = 1.0) -> int
 def cmd_synth(args) -> int:
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
+    if not 0 < args.fps < math.inf:
+        raise ConfigError(f"--fps must be a positive finite rate, got {args.fps:g}")
+    if args.noise_std is not None and not 0 <= args.noise_std < math.inf:
+        raise ConfigError(f"--noise-std must be finite and >= 0, got {args.noise_std:g}")
     if args.skeleton == "default":
         skeleton = motiondata.default_skeleton()
     else:
         skeleton = motiondata.skeleton_from_json(args.skeleton)
+    max_frames = (DEFAULT_MEMORY_BUDGET_MIB * 1024 ** 2
+                  // motiondata.synth_bytes_per_frame(skeleton.n_joints))
+    if args.frames > max_frames:
+        raise ConfigError(f"--frames {args.frames} is over the {max_frames} frames that "
+                          f"synthesis fits in the {DEFAULT_MEMORY_BUDGET_MIB} MiB budget")
     if args.spec:
         spec, noise_std = motiondata.motion_spec_from_json(args.spec, skeleton)
     else:
-        spec, noise_std = motiondata.two_frequency_spec(skeleton), args.noise_std
+        spec, noise_std = motiondata.two_frequency_spec(skeleton), 0.0
+    if args.noise_std is not None:  # the flag overrides the spec file
+        noise_std = args.noise_std
     rng = np.random.default_rng(args.seed)
     seq = motiondata.synth_motion(skeleton, args.frames, args.fps, spec,
                                   noise_std=noise_std, rng=rng)
@@ -156,7 +156,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint expects {cfg.n_joints} joints, data has {seq.skeleton.n_joints}")
     fps = seq.frame_rate
-    max_h = max(_frames("--horizons", h, fps, per_second=1000.0) for h in horizons)
+    max_h = max(evalmetrics.span_frames("--horizons", h, fps, per_second=1000.0)
+                for h in horizons)
 
     rng = np.random.default_rng(args.seed)
     windows = training.make_eval_windows([seq], args.n_windows, cfg.window + max_h, rng)
@@ -184,7 +185,7 @@ def cmd_rollout(args) -> int:
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()
-    steps = _frames("--seconds", args.seconds, seed_seq.frame_rate)
+    steps = evalmetrics.span_frames("--seconds", args.seconds, seed_seq.frame_rate)
     out_mib = 4 * steps * cfg.n_joints * cfg.joint_dim / 1024 ** 2
     if out_mib > DEFAULT_MEMORY_BUDGET_MIB:
         raise ConfigError(f"--seconds {args.seconds:g} gives {steps} frames, "
@@ -271,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--frames", type=int, required=True)
     s.add_argument("--fps", type=float, default=60.0)
     s.add_argument("--spec", help="per-joint sinusoid spec JSON")
-    s.add_argument("--noise-std", type=float, default=0.0, dest="noise_std")
+    s.add_argument("--noise-std", type=float, dest="noise_std",
+                   help="angle noise std; overrides the spec file's noise_std (default 0)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)

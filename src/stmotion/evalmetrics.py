@@ -8,11 +8,13 @@ in milliseconds and averaged over all frames up to each horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
+from .errors import ConfigError
 from .motiondata import Skeleton, fk_positions
 from .tensor import atomic_write
 
@@ -26,12 +28,32 @@ def _promote(x) -> np.ndarray:
     return x
 
 
+def _promote_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs promoted; unequal shapes are an error, never broadcast."""
+    pred, target = _promote(pred), _promote(target)
+    if pred.shape != target.shape:
+        raise ValueError(f"pred/target shape mismatch: {pred.shape} vs {target.shape}")
+    return pred, target
+
+
 def _mats(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (3, 3))
 
 
 def horizon_frames(horizons_ms, frame_rate: float) -> list[int]:
     return [max(1, round(h / 1000.0 * frame_rate)) for h in horizons_ms]
+
+
+def span_frames(name: str, value: float, fps: float, per_second: float = 1.0) -> int:
+    """The frame count at `fps` of `value`, given in 1/per_second seconds: the
+    rule of `eval --horizons`, `rollout --seconds` and training's
+    `val_horizon_ms`. A span that is not finite or rounds to no frame is a
+    ConfigError naming `name`."""
+    span = value / per_second * fps
+    if not (math.isfinite(span) and round(span) >= 1):
+        raise ConfigError(f"{name} {value:g} spans {span:g} frames at {fps:g} fps; "
+                          f"need a finite number that rounds to at least one")
+    return round(span)
 
 
 def _horizon_means(per_frame: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
@@ -45,9 +67,7 @@ def metric_euler(pred, target, horizons_ms, frame_rate: float) -> dict[float, fl
     """Per frame: Euclidean norm of all per-joint Euler-angle differences
     (each component wrapped to (-pi, pi]); averaged over frames up to each
     horizon and over sequences."""
-    pred, target = _promote(pred), _promote(target)
-    if pred.shape != target.shape:
-        raise ValueError("pred/target shape mismatch")
+    pred, target = _promote_pair(pred, target)
     ep = so3.euler_from_rotmat(_mats(pred))
     et = so3.euler_from_rotmat(_mats(target))
     diff = so3.wrap_angle(ep - et)                      # (B, T, N, 3)
@@ -57,16 +77,14 @@ def metric_euler(pred, target, horizons_ms, frame_rate: float) -> dict[float, fl
 
 def metric_geodesic(pred, target, horizons_ms, frame_rate: float) -> dict[float, float]:
     """Mean geodesic rotation distance over joints and frames up to horizon."""
-    pred, target = _promote(pred), _promote(target)
-    if pred.shape != target.shape:
-        raise ValueError("pred/target shape mismatch")
+    pred, target = _promote_pair(pred, target)
     ang = so3.geodesic_angle(_mats(pred), _mats(target))  # (B, T, N)
     return _horizon_means(ang, horizons_ms, frame_rate)
 
 
 def positional_errors(pred, target, skeleton: Skeleton) -> np.ndarray:
     """Per-(sequence, frame, joint) Euclidean distance in millimeters."""
-    pred, target = _promote(pred), _promote(target)
+    pred, target = _promote_pair(pred, target)
     pp = fk_positions(_mats(pred), skeleton)
     pt = fk_positions(_mats(target), skeleton)
     return np.linalg.norm(pp - pt, axis=-1)  # (B, T, N)

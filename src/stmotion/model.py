@@ -33,7 +33,7 @@ from .so3 import project_to_so3
 from .tensor import Tensor
 
 VARIANTS = ("st", "vanilla_1d", "full_2d")
-TAU_MODES = ("softmax", "sum_normalize")
+TAU_MODES = tz.TAU_MODES
 SHARING_MODES = ("query_separate", "all_separate", "all_shared")
 
 _NEG_INF = -1e9  # additive mask value; large enough to underflow exp() to 0
@@ -229,15 +229,12 @@ def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _causal_mask(t: int, n: int, dtype, tau_mode: str) -> np.ndarray:
-    """Read-only (T*N, T*N) causal mask over t-major joint-time tokens (n=1:
-    frames): token (t, n) may attend to (t', n') iff t' <= t. The 0/1 keep
-    mask for sum_normalize, its additive bias for softmax; built once per
-    (T, N, dtype)."""
-    dtype = np.dtype(dtype)
-    mask = np.kron(np.tril(np.ones((t, t), dtype=dtype)), np.ones((n, n), dtype=dtype))
-    if tau_mode == "softmax":
-        mask = np.where(mask > 0, dtype.type(0), dtype.type(_NEG_INF))
+def _causal_mask(t: int, n: int) -> np.ndarray:
+    """Read-only (T*N, T*N) additive causal mask M over t-major joint-time
+    tokens (n=1: frames): 0 where token (t, n) may attend to (t', n'), that
+    is t' <= t, and _NEG_INF elsewhere. float32, built once per (T, N) and
+    used by both tau and both dtypes (-1e9 and 0 are exact in float32)."""
+    mask = np.kron(np.triu(np.full((t, t), _NEG_INF, np.float32), 1), np.ones((n, n), np.float32))
     mask.flags.writeable = False
     return mask
 
@@ -266,7 +263,7 @@ def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, ejq: Tenso
     q = tz.joint_linear(ejq, p[pre + "t.wq"])  # (N, H, B, Tq, F)
     k = tz.joint_linear(ej, p[pre + "t.wk"])   # (N, H, B, T, F)
     v = tz.joint_linear(ej, p[pre + "t.wv"])
-    mask = _causal_mask(t, 1, ej.data.dtype, cfg.tau_mode)[t - tq:]
+    mask = _causal_mask(t, 1)[t - tq:]
     ctx, weights = _attend(q, k, v, cfg, mask)
     ctx = tz.reshape(tz.transpose(ctx, (0, 2, 3, 1, 4)), (n, b, tq, h * f))
     out = tz.joint_linear(ctx, p[pre + "t.wo"])  # (N, B, Tq, D)
@@ -416,13 +413,13 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
                 maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
             e = _aggregate(eq, [t_out, s_out], params, pre, cfg, training, rng)
         elif cfg.variant == "vanilla_1d":
-            a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1, dtype, cfg.tau_mode))
+            a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1))
             if not last_only:
                 maps.temporal.append(w.mean(axis=0))  # (H, T, T)
             e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
         else:  # full_2d
             a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg,
-                                     _causal_mask(t, n, dtype, cfg.tau_mode))
+                                     _causal_mask(t, n))
             a_out = tz.reshape(a_out, (b, t, n, d))
             if not last_only:
                 # (B, H, T, N, T, N): sum over attended axis, average the rest

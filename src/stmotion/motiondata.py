@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,14 @@ class JointMotionSpec:
         if norm == 0:
             raise ValueError("axis must be nonzero")
         self.axis = self.axis / norm
+
+
+def synth_bytes_per_frame(n_joints: int) -> int:
+    """Peak bytes `synth_motion` holds per frame of a skeleton of n_joints:
+    four float64 (T, N, 3, 3) arrays, the rotations and, in project_to_so3's
+    validity test, their gram matrices, gram - I and its abs. Rodrigues'
+    matrices pass that test, so its SVD branch does not run."""
+    return 4 * n_joints * 9 * np.dtype(np.float64).itemsize
 
 
 def synth_motion(
@@ -331,4 +340,7 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
                 frequency=float(item["frequency"]),
                 phase=float(item.get("phase", 0.0)),
             ))
-        return specs, float(d.get("noise_std", 0.0))
+        noise_std = float(d.get("noise_std", 0.0))
+        if not 0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std {noise_std!r} must be finite and >= 0")
+        return specs, noise_std

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError
 
 DEFAULT_DTYPE = np.float32
+TAU_MODES = ("softmax", "sum_normalize")  # attention's normalizers tau
 
 __all__ = [
     "Tensor",
@@ -283,41 +284,39 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None,
               tau: str = "softmax"):
-    """Fused attention over the last two axes: context = tau(q @ k^T * scale) @ v.
+    """Fused attention over the last two axes: context = tau(q @ k^T * scale + mask) @ v.
 
-    tau "softmax": `mask` is an additive bias broadcast over the scores (0
-    where admissible, a large negative value elsewhere); rows are shifted by
-    their max before exp. tau "sum_normalize": `mask` is a 0/1 keep mask;
-    relu(scores) * keep is divided by its row sum, and a row whose sum is at
-    most 1e-8 gets a uniform distribution over its kept entries and a zero
-    gradient. mask None: unmasked.
+    `mask` is the additive causal mask M for both tau (0 where admissible, a
+    large negative value elsewhere), broadcast over the scores; None: unmasked.
+    tau "softmax": rows are shifted by their max before exp. tau
+    "sum_normalize": relu(scores + M), which zeroes the masked entries, is
+    divided by its row sum, and a row whose sum is at most 1e-8 gets a uniform
+    distribution over its admissible entries (mask == 0) and a zero gradient.
 
     Returns (context Tensor, weights ndarray). The weights overwrite the score
     buffer in place and are read-only; the op records one Tape entry.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if tau not in ("softmax", "sum_normalize"):
+    if tau not in TAU_MODES:
         raise ValueError(f"unknown attention tau {tau!r}")
     c = q.data.dtype.type(scale)
     w = q.data @ np.swapaxes(k.data, -1, -2)
     w *= c
+    if mask is not None:
+        w += mask
     if tau == "softmax":
-        if mask is not None:
-            w += mask
         w -= _row_max(w)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
     else:
         positive = w > 0                  # relu's gradient mask
         np.maximum(w, 0, out=w)
-        if mask is not None:
-            w *= mask
         rs = w.sum(axis=-1, keepdims=True)
         ok = rs > 1e-8
         safe_rs = np.where(ok, rs, 1.0)
         w /= safe_rs
         if not ok.all():
-            keep = np.ones(w.shape[-1], w.dtype) if mask is None else mask
+            keep = np.ones(w.shape[-1], w.dtype) if mask is None else mask == 0
             keep = np.broadcast_to(keep, w.shape).astype(w.dtype)
             np.copyto(w, keep / keep.sum(axis=-1, keepdims=True), where=~ok)
     w.flags.writeable = False
@@ -326,18 +325,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
     def bwd(g):
         gv = _unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape) if _needs(v) else None
         gs = g @ np.swapaxes(v.data, -1, -2)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
         if tau == "softmax":
-            gs -= (gs * w).sum(axis=-1, keepdims=True)
             gs *= w
         else:
-            if mask is not None:
-                gs *= mask
-            gs -= (gs * w).sum(axis=-1, keepdims=True)
             gs /= safe_rs
             if not ok.all():
                 gs *= ok
-            if mask is not None:
-                gs *= mask
             gs *= positive
         gs *= c
         gq = _unbroadcast(gs @ k.data, q.data.shape) if _needs(q) else None

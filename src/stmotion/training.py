@@ -197,7 +197,8 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState(params)
     fps = train_seqs[0].frame_rate
-    horizon, = evalmetrics.horizon_frames([tcfg.val_horizon_ms], fps)
+    horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, fps,
+                                      per_second=1000.0)
     val_rng = np.random.default_rng(tcfg.seed + 1)
     val_windows = make_eval_windows(val_seqs, tcfg.n_val_windows,
                                     cfg.window + horizon, val_rng)

@@ -78,7 +78,8 @@ class TestSynth:
          "joint 99"),
         ({"joints": [{"joint": 1, "axis": [1], "amplitude": 0.3, "frequency": 1.0}]},
          "axis must be a 3-vector"),
-    ], ids=["empty", "no_axis", "list", "joint_99", "short_axis"])
+        ({"joints": [], "noise_std": -1}, "noise_std -1.0 must be finite and >= 0"),
+    ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -87,6 +88,47 @@ class TestSynth:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"spec file {path}: {named}" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-std", "-1"), ("--noise-std", "nan"), ("--noise-std", "inf"),
+        ("--fps", "nan"), ("--fps", "inf"), ("--fps", "0"), ("--fps", "-60"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.stm1"
+        assert cli.main(["synth", "--frames", "10", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{flag} must be" in err[0] and value in err[0], err
+        assert not out.exists()
+
+    def test_frames_over_the_memory_budget_is_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the bound must hold before synthesis allocates")
+
+        monkeypatch.setattr(motiondata, "synth_motion", allocate)
+        bound = (cli.DEFAULT_MEMORY_BUDGET_MIB * 1024 ** 2
+                 // motiondata.synth_bytes_per_frame(motiondata.default_skeleton().n_joints))
+        assert cli.main(["synth", "--frames", str(bound + 1),
+                         "--out", str(tmp_path / "m.stm1")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--frames {bound + 1}" in err[0], err
+
+    def test_noise_flag_overrides_the_spec_file(self, tmp_path):
+        joints = [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0}]
+        outs = {}
+        for name, noise, flags in [("file0", 0.0, []),
+                                   ("file0_flag", 0.0, ["--noise-std", "0.1"]),
+                                   ("file1", 0.1, []),
+                                   ("file1_flag0", 0.1, ["--noise-std", "0"])]:
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({"joints": joints, "noise_std": noise}))
+            outs[name] = tmp_path / f"{name}.stm1"
+            assert cli.main(["synth", "--frames", "30", "--spec", str(spec), *flags,
+                             "--out", str(outs[name])]) == 0
+        read = {k: v.read_bytes() for k, v in outs.items()}
+        assert read["file0_flag"] == read["file1"]   # the flag's noise, the same seed
+        assert read["file1_flag0"] == read["file0"]  # --noise-std 0 silences the file
+        assert read["file0"] != read["file1"]
 
     def test_bad_frames_is_usage_error(self, tmp_path):
         assert cli.main(["synth", "--frames", "0",
@@ -186,6 +228,14 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], err
         assert not (tmp_path / "x").exists()
+
+    def test_validation_horizon_under_a_frame_is_usage_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + "val_horizon_ms = 5\n")  # 0.3 frames at 60 fps
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "val_horizon_ms 5 spans 0.3 frames" in err[0], err
 
     @pytest.mark.parametrize("flag, named", [
         ("--steps", "max_steps 0 must be >= 1"),

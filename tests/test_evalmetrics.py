@@ -127,6 +127,15 @@ class TestPositionalMetrics:
         frac_exact = 100.0 * (ev.positional_errors(pred, tgt, sk) <= 1.0).mean()
         assert abs(auc_half - frac_exact) < 1e-6
 
+    def test_batch_mismatch_raises_instead_of_broadcasting(self):
+        # (1, T, N, 9) against (3, T, N, 9): broadcasting scored it 0 mm, AUC 100
+        sk, rots = rot_seq(4, seed=3)
+        one, three = rots[None], np.stack([rots] * 3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ev.metric_positional(one, three, sk, [50.0], 60.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ev.metric_pck_auc(one, three, sk, [50.0], 60.0)
+
     def test_pck_bad_thresholds(self):
         sk, rots = rot_seq(3)
         with pytest.raises(ValueError):

@@ -344,16 +344,53 @@ class TestCausalMasks:
     @pytest.mark.parametrize("t,n", [(1, 1), (6, 1), (4, 3), (6, 2), (12, 1)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_masks_match_the_keep_they_replace(self, t, n, dtype):
-        # token (t, n) may attend to (t', n') iff t' <= t, whatever n and n'
+        # token (t, n) may attend to (t', n') iff t' <= t, whatever n and n';
+        # one float32 M serves both tau and, exactly, both dtypes
         frame = np.repeat(np.arange(t), n)
-        keep = (frame[None, :] <= frame[:, None]).astype(dtype)
-        got_keep = mo._causal_mask(t, n, dtype, "sum_normalize")
-        bias = mo._causal_mask(t, n, dtype, "softmax")
-        assert got_keep.dtype == bias.dtype == dtype
-        np.testing.assert_array_equal(got_keep, keep)
-        np.testing.assert_array_equal(bias, np.where(keep > 0, 0, mo._NEG_INF).astype(dtype))
-        assert not got_keep.flags.writeable and not bias.flags.writeable
-        assert mo._causal_mask(t, n, dtype, "softmax") is bias
+        keep = frame[None, :] <= frame[:, None]
+        mask = mo._causal_mask(t, n)
+        assert mask.dtype == np.float32 and not mask.flags.writeable
+        np.testing.assert_array_equal(mask, np.where(keep, 0, mo._NEG_INF).astype(np.float32))
+        np.testing.assert_array_equal(mask.astype(dtype), np.where(keep, 0, mo._NEG_INF).astype(dtype))
+        assert mo._causal_mask(t, n) is mask
+
+    @pytest.mark.parametrize("variant", mo.VARIANTS)
+    def test_both_tau_and_dtypes_share_one_mask(self, variant, monkeypatch):
+        n_tokens = 3 if variant == "full_2d" else 1
+        mask = mo._causal_mask(6, n_tokens)
+        attention, seen = tz.attention, []
+
+        def spy(q, k, v, scale, m=None, tau="softmax"):
+            ctx, w = attention(q, k, v, scale, m, tau)
+            if m is not None:  # M itself, or st's view of its last rows
+                seen.append((m is mask or np.shares_memory(m, mask), tau, w))
+            return ctx, w
+
+        monkeypatch.setattr(tz, "attention", spy)
+        for tau in mo.TAU_MODES:
+            cfg = tiny_cfg(variant=variant, tau_mode=tau, n_layers=1, window=6)
+            for dtype in (np.float32, np.float64):
+                params = mo.init_params(cfg, np.random.default_rng(5), dtype=dtype)
+                mo.forward(params, cfg, rand_window(cfg, dtype=dtype))
+        assert len(seen) == 4 and all(same for same, _, _ in seen)
+        for _, tau, w in seen:
+            if tau == "sum_normalize":  # masked weights are exact zeros
+                assert np.all(w[..., mask != 0] == 0)
+
+    def test_masked_sum_normalize_gradients_are_exact_zeros(self):
+        mask = mo._causal_mask(5, 1)
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            # scores are q with k = v = I; the masked ones are large and positive
+            scores = Tensor(np.abs(rng.standard_normal((2, 5, 5))).astype(dtype) + 1,
+                            requires_grad=True)
+            eye = Tensor(np.eye(5, dtype=dtype))
+            with Tape() as tape:
+                ctx, w = tz.attention(scores, eye, eye, 1.0, mask, "sum_normalize")
+                loss = tz.tsum(tz.mul(ctx, Tensor(rng.standard_normal((2, 5, 5)).astype(dtype))))
+            backward(loss, tape)
+            assert np.all(w[..., mask != 0] == 0)
+            assert np.all(scores.grad[..., mask != 0] == 0)
 
     @pytest.mark.parametrize("tau", ["softmax", "sum_normalize"])
     def test_full_2d_tokens_see_their_whole_frame_and_no_later_frame(self, tau, monkeypatch):
@@ -778,7 +815,7 @@ class TestSpecHandCases:
         t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg)
         flat = Tensor(e.data.reshape(2, 6, d))
         a_out, _ = mo._token_stream(flat, p2, "l0.", cfg,
-                                    mo._causal_mask(6, 1, np.float32, cfg.tau_mode))
+                                    mo._causal_mask(6, 1))
         np.testing.assert_allclose(t_out.data.reshape(2, 6, d), a_out.data,
                                    atol=1e-5)
 

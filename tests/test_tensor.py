@@ -182,9 +182,9 @@ def unfused_attention(q, k, v, scale, mask, mode):
     return tz.matmul(Tensor(w), v).data, w
 
 
-def causal(t, mode, dtype=np.float32):
-    keep = np.tril(np.ones((t, t), dtype=dtype))
-    return keep if mode == "sum_normalize" else np.where(keep > 0, 0, -1e9).astype(dtype)
+def causal(t, dtype=np.float32):
+    """The additive causal mask M both tau take: 0 on and below the diagonal."""
+    return np.where(np.tril(np.ones((t, t))) > 0, 0, -1e9).astype(dtype)
 
 
 class TestAttention:
@@ -196,7 +196,7 @@ class TestAttention:
         q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
         if mode == "sum_normalize":  # scores away from relu's kink
             q, k = np.abs(q) + 0.1, np.abs(k) + 0.1
-        mask = causal(5, mode, np.float64) if masked else None
+        mask = causal(5, np.float64) if masked else None
         c = f64(rng.standard_normal((2, 3, 5, 4)))
         args = [f64(q), f64(k), f64(v)]
 
@@ -215,9 +215,11 @@ class TestAttention:
         rng = np.random.default_rng(31)
         q, k, v = (Tensor(rng.standard_normal((3, 2, t, 8)).astype(np.float32))
                    for _ in range(3))
-        mask = causal(t, mode) if masked else None
+        mask = causal(t) if masked else None
+        # the reference takes M as a bias for softmax, the 0/1 keep otherwise
+        ref_mask = mask if mask is None or mode == "softmax" else (mask == 0).astype(np.float32)
         ctx, w = tz.attention(q, k, v, 1.0 / math.sqrt(16), mask, mode)
-        ref_ctx, ref_w = unfused_attention(q, k, v, 1.0 / math.sqrt(16), mask, mode)
+        ref_ctx, ref_w = unfused_attention(q, k, v, 1.0 / math.sqrt(16), ref_mask, mode)
         assert np.array_equal(w, ref_w)
         assert np.array_equal(ctx.data, ref_ctx)
         assert not w.flags.writeable
@@ -433,18 +435,18 @@ class TestMiscOps:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
 
-    # the sum_normalize tau of tz.attention (rows of relu(scores) * keep
+    # the sum_normalize tau of tz.attention (rows of relu(scores + M)
     # divided by their sum), driven through its scores
     def test_normalize_rows_masked(self):
-        keep = np.float32([[1.0, 1.0, 0.0]])
-        out = tau(np.float32([[2.0, 2.0, 5.0]]), keep, "sum_normalize")
+        mask = np.float32([[0.0, 0.0, -1e9]])
+        out = tau(np.float32([[2.0, 2.0, 5.0]]), mask, "sum_normalize")
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
 
     def test_normalize_rows_fallback_uniform(self):
-        keep = np.float32([[1.0, 1.0, 0.0]])
+        mask = np.float32([[0.0, 0.0, -1e9]])
         x = Tensor(np.float32([[-1.0, -2.0, 3.0]]), requires_grad=True)
         with Tape() as tape:
-            out = tau(x, keep, "sum_normalize")
+            out = tau(x, mask, "sum_normalize")
             loss = tz.tsum(tz.mul(out, Tensor(np.float32([[1.0, 2.0, 3.0]]))))
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
         backward(loss, tape)
