@@ -28,6 +28,13 @@ DEFAULT_HORIZONS_MS = "100,200,300,400"  # as --horizons takes them
 DEFAULT_MEMORY_BUDGET_MIB = 2048
 
 
+def _check_budget(what: str, nbytes: int, budget_mib: int = DEFAULT_MEMORY_BUDGET_MIB):
+    """Every command's memory rule: ConfigError naming `what` if nbytes > budget_mib MiB."""
+    if nbytes > budget_mib * 1024 ** 2:
+        raise ConfigError(f"{what} needs {-(-nbytes // 1024 ** 2)} MiB, over the "
+                          f"{budget_mib} MiB budget")
+
+
 def _parse_config_file(path) -> dict:
     """Flat `key = value` lines with `#` comments."""
     out = {}
@@ -89,17 +96,16 @@ def cmd_synth(args) -> int:
         skeleton = motiondata.default_skeleton()
     else:
         skeleton = motiondata.skeleton_from_json(args.skeleton)
-    max_frames = (DEFAULT_MEMORY_BUDGET_MIB * 1024 ** 2
-                  // motiondata.synth_bytes_per_frame(skeleton.n_joints))
-    if args.frames > max_frames:
-        raise ConfigError(f"--frames {args.frames} is over the {max_frames} frames that "
-                          f"synthesis fits in the {DEFAULT_MEMORY_BUDGET_MIB} MiB budget")
+    _check_budget(f"--frames {args.frames}",
+                  args.frames * motiondata.synth_bytes_per_frame(skeleton.n_joints))
     if args.spec:
         spec, noise_std = motiondata.motion_spec_from_json(args.spec, skeleton)
     else:
         spec, noise_std = motiondata.two_frequency_spec(skeleton), 0.0
     if args.noise_std is not None:  # the flag overrides the spec file
         noise_std = args.noise_std
+    motiondata.check_nyquist(spec, args.fps, f"--fps {args.fps:g}"
+                             + (f" with --spec {args.spec}" if args.spec else ""))
     rng = np.random.default_rng(args.seed)
     seq = motiondata.synth_motion(skeleton, args.frames, args.fps, spec,
                                   noise_std=noise_std, rng=rng)
@@ -111,18 +117,23 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
-
-    budget = args.memory_budget * 1024 ** 2
-    estimate = 4 * model.estimate_workspace_elements(cfg, tcfg.batch_size)
-    if estimate > budget:
-        raise ConfigError(
-            f"estimated workspace {estimate / 1e6:.0f} MB exceeds the "
-            f"{budget / 1e6:.0f} MB budget; reduce window, batch size or layers")
+    horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, seq.frame_rate,
+                                      per_second=1000.0)
+    n_val = tcfg.n_val_windows  # windows of window + horizon frames, rolled out at once
+    _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}", 4 * (
+        model.estimate_workspace_elements(cfg, tcfg.batch_size)
+        + n_val * (cfg.window + horizon) * cfg.n_joints * cfg.joint_dim
+        + model.estimate_workspace_elements(cfg, n_val)), args.memory_budget)
 
     # deterministic train/validation split along time
     split = int(seq.n_frames * 0.9)
     train_seqs = [motiondata.MotionSequence(seq.skeleton, seq.rotations[:split], seq.frame_rate)]
     val_seqs = [motiondata.MotionSequence(seq.skeleton, seq.rotations[split:], seq.frame_rate)]
+    for part, seqs, length in (("training", train_seqs, cfg.window + 1),
+                               ("validation", val_seqs, cfg.window + horizon)):
+        if seqs[0].n_frames < length:
+            raise ConfigError(f"--data {args.data}: its {part} split has {seqs[0].n_frames} "
+                              f"frames, fewer than one window of {length}")
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = functools.partial(os.path.join, args.out_dir)
@@ -158,6 +169,9 @@ def cmd_eval(args) -> int:
     fps = seq.frame_rate
     max_h = max(evalmetrics.span_frames("--horizons", h, fps, per_second=1000.0)
                 for h in horizons)
+    _check_budget(f"--n-windows {args.n_windows}", 4 * (
+        args.n_windows * (cfg.window + max_h) * cfg.n_joints * cfg.joint_dim
+        + model.estimate_workspace_elements(cfg, args.n_windows)))
 
     rng = np.random.default_rng(args.seed)
     windows = training.make_eval_windows([seq], args.n_windows, cfg.window + max_h, rng)
@@ -186,11 +200,8 @@ def cmd_rollout(args) -> int:
     seed_seq = motiondata.load_motion(args.seed_file)
     seed = seed_seq.flat()
     steps = evalmetrics.span_frames("--seconds", args.seconds, seed_seq.frame_rate)
-    out_mib = 4 * steps * cfg.n_joints * cfg.joint_dim / 1024 ** 2
-    if out_mib > DEFAULT_MEMORY_BUDGET_MIB:
-        raise ConfigError(f"--seconds {args.seconds:g} gives {steps} frames, "
-                          f"{out_mib:.0f} MiB of output, over the "
-                          f"{DEFAULT_MEMORY_BUDGET_MIB} MiB budget")
+    _check_budget(f"--seconds {args.seconds:g} ({steps} frames)",
+                  4 * steps * cfg.n_joints * cfg.joint_dim)
     pred, maps = model.rollout(params, cfg, seed, steps,
                                collect_attention=bool(args.dump_attention))
     out_seq = motiondata.MotionSequence(
@@ -219,7 +230,6 @@ def cmd_bench(args) -> int:
         raise ConfigError("grid must be non-empty")
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    budget = args.memory_budget * 1024 ** 2
     rng = np.random.default_rng(args.seed)
 
     rows = []
@@ -228,8 +238,10 @@ def cmd_bench(args) -> int:
                                 n_layers=layers, n_heads=args.heads,
                                 ff_size=2 * args.embed_dim, window=win, dropout=0.0,
                                 variant=args.variant)
-        est_bytes = 4 * model.estimate_workspace_elements(cfg, batch)
-        if est_bytes > budget:
+        try:
+            _check_budget("--grid", 4 * model.estimate_workspace_elements(cfg, batch),
+                          args.memory_budget)
+        except ConfigError:  # over the budget: an OOM row
             rows.append((layers, win, batch, "OOM", "", "", ""))
             continue
         params = model.init_params(cfg, rng)
@@ -290,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--warmup", type=int)
     t.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
-                   dest="memory_budget", help="workspace budget in MiB")
+                   dest="memory_budget", help="memory budget in MiB")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint against held-out windows")
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
-                   dest="memory_budget", help="workspace budget in MiB")
+                   dest="memory_budget", help="memory budget in MiB")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
     return p

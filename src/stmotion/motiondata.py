@@ -162,6 +162,22 @@ class JointMotionSpec:
         if norm == 0:
             raise ValueError("axis must be nonzero")
         self.axis = self.axis / norm
+        if not abs(self.amplitude) < np.pi:
+            raise ValueError(f"amplitude must be < pi, got {self.amplitude}")
+
+
+def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "frame_rate"):
+    """The aliasing rule of synthesis: ConfigError naming `name` if a spec
+    frequency is not below half of `frame_rate`."""
+    for js in spec:
+        if not js.frequency < frame_rate / 2.0:
+            raise ConfigError(f"{name}: frequency {js.frequency:g} Hz aliases at "
+                              f"{frame_rate:g} fps")
+
+
+def _check_noise_std(noise_std: float):
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std {noise_std!r} must be finite and >= 0")
 
 
 def synth_bytes_per_frame(n_joints: int) -> int:
@@ -184,12 +200,8 @@ def synth_motion(
     with optional Gaussian angle noise, projected back onto SO(3)."""
     if duration_frames < 1:
         raise ValueError("duration_frames must be >= 1")
-    for js in spec:
-        if abs(js.amplitude) >= np.pi:
-            raise ValueError(f"amplitude must be < pi, got {js.amplitude}")
-        if js.frequency >= frame_rate / 2.0:
-            raise ValueError(
-                f"frequency {js.frequency} Hz aliases at {frame_rate} fps")
+    check_nyquist(spec, frame_rate)
+    _check_noise_std(noise_std)
     if noise_std > 0 and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
 
@@ -341,6 +353,5 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
                 phase=float(item.get("phase", 0.0)),
             ))
         noise_std = float(d.get("noise_std", 0.0))
-        if not 0 <= noise_std < math.inf:
-            raise ValueError(f"noise_std {noise_std!r} must be finite and >= 0")
+        _check_noise_std(noise_std)
         return specs, noise_std

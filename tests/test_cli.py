@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stmotion import cli, model, motiondata
+from stmotion import cli, model, motiondata, training
 
 CONFIG = """\
 # tiny architecture for fast tests
@@ -79,7 +79,10 @@ class TestSynth:
         ({"joints": [{"joint": 1, "axis": [1], "amplitude": 0.3, "frequency": 1.0}]},
          "axis must be a 3-vector"),
         ({"joints": [], "noise_std": -1}, "noise_std -1.0 must be finite and >= 0"),
-    ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise"])
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 4, "frequency": 1.0}]},
+         "amplitude must be < pi, got 4.0"),
+    ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise",
+            "large_amplitude"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -112,6 +115,19 @@ class TestSynth:
                          "--out", str(tmp_path / "m.stm1")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"--frames {bound + 1}" in err[0], err
+
+    @pytest.mark.parametrize("with_spec", [False, True], ids=["default_spec", "spec_file"])
+    def test_aliasing_names_the_rate_and_the_spec_file(self, tmp_path, capsys, with_spec):
+        spec, out = tmp_path / "spec.json", tmp_path / "m.stm1"
+        spec.write_text(json.dumps({"joints": [
+            {"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 2.0}]}))
+        flags = ["--fps", "3", "--spec", str(spec)] if with_spec else ["--fps", "1"]
+        assert cli.main(["synth", "--frames", "10", *flags, "--out", str(out)]) == 2
+        named = (f"--fps 3 with --spec {spec}: frequency 2 Hz aliases at 3 fps" if with_spec
+                 else "--fps 1: frequency 0.5 Hz aliases at 1 fps")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
 
     def test_noise_flag_overrides_the_spec_file(self, tmp_path):
         joints = [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0}]
@@ -236,6 +252,36 @@ class TestTrain:
                          "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "val_horizon_ms 5 spans 0.3 frames" in err[0], err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("frames, named", [
+        (60, "its validation split has 6 frames, fewer than one window of 32"),
+        (9, "its training split has 8 frames, fewer than one window of 9"),
+    ], ids=["validation", "training"])
+    def test_short_split_is_usage_error_before_out_dir(self, tmp_path, capsys, frames, named):
+        data, cfg = tmp_path / "data.stm1", tmp_path / "tiny.cfg"
+        assert cli.main(["synth", "--frames", str(frames), "--out", str(data)]) == 0
+        cfg.write_text(CONFIG)
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--data {data}: {named}" in err[0], err
+        assert not (tmp_path / "x").exists()
+
+    def test_unwritable_out_dir_fails_before_training(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("--out-dir must be checked before the first step")
+
+        monkeypatch.setattr(training, "train", run)
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(workdir / "tiny.cfg"),
+                         "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a_file" in err[0], err
 
     @pytest.mark.parametrize("flag, named", [
         ("--steps", "max_steps 0 must be >= 1"),
@@ -492,6 +538,45 @@ class TestBench:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0]
         assert not out.exists()
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("command, line, flags, named", [
+        ("eval", "", ["--n-windows", "100000000000"], "--n-windows 100000000000"),
+        ("train", "n_val_windows = 1000000000", [], "n_val_windows 1000000000"),
+        ("train", "", ["--batch-size", "1000000000"], "batch_size 1000000000"),
+    ], ids=["eval_n_windows", "train_n_val_windows", "train_batch_size"])
+    def test_refused_before_windows_are_sampled(self, workdir, tmp_path, capsys, monkeypatch,
+                                                command, line, flags, named):
+        def sample(*args, **kwargs):
+            raise AssertionError("the budget must hold before windows are sampled")
+
+        monkeypatch.setattr(training, "make_eval_windows", sample)
+        cfg, out = tmp_path / "budget.cfg", tmp_path / "out"
+        cfg.write_text(CONFIG + line + "\n")
+        argv = ["--data", str(workdir / "data.stm1"), *flags]
+        if command == "eval":
+            argv = ["eval", *argv, "--checkpoint", str(workdir / "run" / "best.stt1"),
+                    "--out", str(out)]
+        else:
+            argv = ["train", *argv, "--config", str(cfg), "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["budget.cfg"]
+
+    def test_train_states_the_budget_in_mib(self, workdir, tmp_path, capsys):
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(workdir / "tiny.cfg"), "--batch-size", "1000000",
+                         "--memory-budget", "2048", "--out-dir", str(tmp_path / "x")]) == 2
+        cfg = model.ModelConfig(embed_dim=8, n_heads=2, n_layers=1, ff_size=8, window=8,
+                                dropout=0.0)
+        horizon = 24  # val_horizon_ms 400 at 60 fps
+        need = 4 * (model.estimate_workspace_elements(cfg, 1000000)
+                    + 2 * (8 + horizon) * 9 * 9 + model.estimate_workspace_elements(cfg, 2))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(
+            f"needs {-(-need // 2 ** 20)} MiB, over the 2048 MiB budget"), err
 
 
 class TestParsing:

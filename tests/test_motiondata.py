@@ -142,6 +142,13 @@ class TestSynthMotion:
         with pytest.raises(ValueError):
             md.synth_motion(sk, 10, 60.0, [md.JointMotionSpec(0, [1, 0, 0], 3.5, 1.0)])
 
+    @pytest.mark.parametrize("noise_std", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_noise(self, noise_std):
+        sk = md.default_skeleton()
+        with pytest.raises(ValueError, match="noise_std"):
+            md.synth_motion(sk, 10, 60.0, md.two_frequency_spec(sk), noise_std=noise_std,
+                            rng=np.random.default_rng(0))
+
     def test_noise_needs_rng(self):
         sk = md.default_skeleton()
         with pytest.raises(ValueError):
