@@ -13,6 +13,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import evalmetrics, model, motiondata, training
@@ -33,6 +38,13 @@ def _check_budget(what: str, nbytes: int, budget_mib: int = DEFAULT_MEMORY_BUDGE
     if nbytes > budget_mib * 1024 ** 2:
         raise ConfigError(f"{what} needs {-(-nbytes // 1024 ** 2)} MiB, over the "
                           f"{budget_mib} MiB budget")
+
+
+def _budget_flag(args) -> int:
+    """The --memory-budget flag in MiB, checked before a command does any work."""
+    if args.memory_budget < 1:
+        raise ConfigError(f"--memory-budget must be >= 1 MiB, got {args.memory_budget}")
+    return args.memory_budget
 
 
 def _parse_config_file(path) -> dict:
@@ -115,6 +127,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    budget = _budget_flag(args)
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
     horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, seq.frame_rate,
@@ -123,7 +136,7 @@ def cmd_train(args) -> int:
     _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}", 4 * (
         model.estimate_workspace_elements(cfg, tcfg.batch_size)
         + n_val * (cfg.window + horizon) * cfg.n_joints * cfg.joint_dim
-        + model.estimate_workspace_elements(cfg, n_val)), args.memory_budget)
+        + model.estimate_workspace_elements(cfg, n_val)), budget)
 
     # deterministic train/validation split along time
     split = int(seq.n_frames * 0.9)
@@ -169,6 +182,10 @@ def cmd_eval(args) -> int:
     fps = seq.frame_rate
     max_h = max(evalmetrics.span_frames("--horizons", h, fps, per_second=1000.0)
                 for h in horizons)
+    if seq.n_frames < cfg.window + max_h:
+        raise ConfigError(f"--data {args.data}: it has {seq.n_frames} frames, fewer than one "
+                          f"window of {cfg.window + max_h} ({cfg.window} seed frames and "
+                          f"{max_h} for --horizons {args.horizons})")
     _check_budget(f"--n-windows {args.n_windows}", 4 * (
         args.n_windows * (cfg.window + max_h) * cfg.n_joints * cfg.joint_dim
         + model.estimate_workspace_elements(cfg, args.n_windows)))
@@ -217,7 +234,13 @@ def cmd_rollout(args) -> int:
 DEFAULT_BENCH_GRID = "2,16,2;2,32,2;4,50,4"
 
 
+def _minor_faults():
+    """This process's minor page faults so far; None without `resource`."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cmd_bench(args) -> int:
+    budget = _budget_flag(args)
     triples = []
     for part in args.grid.split(";"):
         vals = [int(v) for v in part.split(",")]
@@ -240,30 +263,32 @@ def cmd_bench(args) -> int:
                                 variant=args.variant)
         try:
             _check_budget("--grid", 4 * model.estimate_workspace_elements(cfg, batch),
-                          args.memory_budget)
+                          budget)
         except ConfigError:  # over the budget: an OOM row
-            rows.append((layers, win, batch, "OOM", "", "", ""))
+            rows.append((layers, win, batch, "OOM", "", "", "", ""))
             continue
         params = model.init_params(cfg, rng)
         x = rng.standard_normal((batch, win, args.n_joints, 9)).astype(np.float32)
         _, _, stats = model.forward(params, cfg, x)  # warmup
-        times = []
+        times, faults = [], []
         for _ in range(args.repeats):
-            t0 = time.perf_counter()
+            f0, t0 = _minor_faults(), time.perf_counter()
             _, _, stats = model.forward(params, cfg, x)
             times.append(time.perf_counter() - t0)
+            if f0 is not None:
+                faults.append(_minor_faults() - f0)
         per_layer = stats.scores_per_layer[0]
-        rows.append((layers, win, batch, "ok", per_layer,
-                     stats.workspace_elements, min(times)))
+        rows.append((layers, win, batch, "ok", per_layer, stats.workspace_elements,
+                     min(times), min(faults) if faults else ""))
 
     with atomic_write(args.out) as fh:
         fh.write("variant,layers,window,batch,status,scores_per_layer_per_head,"
-                 "workspace_elements,seconds_per_forward\n")
+                 "workspace_elements,seconds_per_forward,minor_faults_per_forward\n")
         for r in rows:
             fh.write(",".join(str(v) for v in (args.variant,) + r) + "\n")
     for r in rows:
         print(f"L{r[0]}-W{r[1]}-B{r[2]}: {r[3]} scores/layer/head={r[4]} "
-              f"workspace={r[5]} time={r[6]}")
+              f"workspace={r[5]} time={r[6]} faults={r[7]}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ Without an active tape, operations are plain numpy calls.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import math
 import os
@@ -47,6 +48,55 @@ __all__ = [
     "tsum",
     "l2norm_lastdim",
 ]
+
+
+# glibc's allocator policy, set once at import by _keep_freed_workspace:
+# the ceiling glibc's own moving mmap threshold reaches on 64-bit systems, and
+# twice it for the trim threshold, as glibc pairs them, held from the start.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters (malloc.h)
+_MMAP_THRESHOLD_BYTES = 32 * 1024 ** 2
+_TRIM_THRESHOLD_BYTES = 64 * 1024 ** 2
+_GLIBC_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _glibc() -> bool:
+    """Whether the C library is glibc."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+
+
+def _keep_freed_workspace() -> bool:
+    """Fix glibc's mmap and trim thresholds, so freed workspace stays in the heap.
+
+    By default glibc maps large blocks, moves that threshold with its frees
+    and hands a large free heap top back to the kernel, so each st forward at
+    the paper's T=120 window faulted its freed attention temporaries in again
+    (about 2,300 minor page faults at B=4). With both thresholds fixed, glibc
+    stops adjusting them: blocks up to _MMAP_THRESHOLD_BYTES stay in the heap
+    when freed and the next forward reuses them; larger ones, such as
+    full_2d's score buffers at T=120, are still mapped.
+
+    This runs at import, not in `cli.main`, because programs that call
+    `model.forward` directly, such as the benchmark's long_window workload,
+    never pass through the CLI, and this module owns every array allocation.
+    It does nothing without glibc or when glibc's own MALLOC_MMAP_THRESHOLD_,
+    MALLOC_TRIM_THRESHOLD_ or GLIBC_TUNABLES is set, and has no setting of
+    its own. Returns whether the policy is in force.
+    """
+    if not _glibc() or any(name in os.environ for name in _GLIBC_MALLOC_ENV):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: a fixed trim threshold alone would also freeze
+    # the mmap threshold wherever it stands
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1)
+
+
+_keep_freed_workspace()
 
 
 class Tensor:
@@ -265,19 +315,25 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-# Last-axis length up to which a loop of np.maximum over the columns finds the
-# row max faster than numpy's reduction (which is slow over a short contiguous
-# axis); beyond it the strided column reads lose.
+# A loop of np.maximum over the columns finds the row max faster than numpy's
+# reduction (which is slow over a short contiguous axis) for last axes up to
+# _ROW_MAX_LOOP_LEN long, beyond which the strided column reads lose, and only
+# with at least _ROW_MAX_LOOP_ROWS_PER_COL rows per column to pay for its one
+# call per column. Both break even near that many rows on a 2-vCPU x86 VM:
+# a batch-1 rollout's trimmed block (72 rows) takes the reduction, the
+# desk-scale score tensors (576 to 9216 rows) the loop.
 _ROW_MAX_LOOP_LEN = 48
+_ROW_MAX_LOOP_ROWS_PER_COL = 16
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """x.max(axis=-1, keepdims=True), bit for bit except the sign of a zero
     max, after which exp(x - max) is the same."""
-    if x.shape[-1] > _ROW_MAX_LOOP_LEN:
+    n = x.shape[-1]
+    if n > _ROW_MAX_LOOP_LEN or x.size < _ROW_MAX_LOOP_ROWS_PER_COL * n * n:
         return x.max(axis=-1, keepdims=True)
     m = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
+    for j in range(1, n):
         np.maximum(m, x[..., j:j + 1], out=m)
     return m
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from stmotion import cli, model, motiondata, training
+from stmotion import cli, model, motiondata, tensor, training
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 CONFIG = """\
 # tiny architecture for fast tests
@@ -356,6 +361,20 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--n-windows" in err[0]
 
+    def test_data_shorter_than_window_and_horizon_names_both(self, workdir, tmp_path, capsys):
+        short = tmp_path / "short.stm1"
+        assert cli.main(["synth", "--frames", "20", "--out", str(short)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        assert cli.main(["eval", "--data", str(short),
+                         "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        # window 8 and the default horizons' longest, 400 ms at 60 fps = 24 frames
+        assert len(err) == 1 and f"--data {short}" in err[0] and "20 frames" in err[0], err
+        assert "window of 32" in err[0] and f"--horizons {cli.DEFAULT_HORIZONS_MS}" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "rollout"])
     def test_checkpoint_header_with_a_wrong_type(self, workdir, tmp_path, capsys, command):
         header, tensors = (workdir / "run" / "best.stt1").read_bytes().split(b"\n", 1)
@@ -507,13 +526,29 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == ("variant,layers,window,batch,status,"
                             "scores_per_layer_per_head,workspace_elements,"
-                            "seconds_per_forward")
+                            "seconds_per_forward,minor_faults_per_forward")
         for line, t in zip(lines[1:], (8, 16)):
             cells = line.split(",")
             assert cells[0] == "st"
             assert cells[4] == "ok"
             assert int(cells[5]) == 9 * t * t + t * 9 * 9
             assert float(cells[7]) > 0
+            assert int(cells[8]) >= 0 if cli.resource else cells[8] == ""
+
+    @pytest.mark.skipif(not tensor._glibc(), reason="the allocator policy is glibc's")
+    def test_paper_window_forward_does_not_fault(self, tmp_path):
+        # a fresh process, as a user's: the policy is set when stmotion is imported
+        out = tmp_path / "bench.csv"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        for name in tensor._GLIBC_MALLOC_ENV:
+            env.pop(name, None)
+        subprocess.run([sys.executable, "-m", "stmotion.cli", "bench", "--variant", "st",
+                        "--grid", "2,120,4", "--repeats", "2", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        header, row = out.read_text().strip().split("\n")
+        faults = dict(zip(header.split(","), row.split(",")))["minor_faults_per_forward"]
+        assert int(faults) <= 50
 
     def test_oom_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -564,6 +599,25 @@ class TestMemoryBudget:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["budget.cfg"]
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "-5"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_budget_below_one_mib_is_refused_before_any_work(self, workdir, tmp_path, capsys,
+                                                             monkeypatch, command, budget):
+        def work(*args, **kwargs):
+            raise AssertionError("the flag must be checked before any work")
+
+        for mod, name in ((motiondata, "load_motion"), (model, "init_params"),
+                          (model, "forward")):
+            monkeypatch.setattr(mod, name, work)
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(workdir / "data.stm1"),
+                 "--config", str(workdir / "tiny.cfg"), "--out-dir", str(out)]
+                if command == "train" else ["bench", "--variant", "st", "--out", str(out)])
+        assert cli.main([*argv, "--memory-budget", budget]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--memory-budget must be >= 1 MiB, got {budget}" in err[0], err
+        assert not out.exists()
 
     def test_train_states_the_budget_in_mib(self, workdir, tmp_path, capsys):
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),

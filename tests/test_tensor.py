@@ -1,6 +1,8 @@
+import ctypes
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -253,12 +255,83 @@ row_elements = st.one_of(st.floats(width=32),
                   st.tuples(st.integers(1, 3), st.integers(1, 2 * tz._ROW_MAX_LOOP_LEN + 8)),
                   elements=row_elements))
 def test_row_max_equals_numpy_max(x):
+    assert_row_max_is_numpy_max(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, tz._ROW_MAX_LOOP_LEN + 4), st.sampled_from([-1, 0]))
+def test_row_max_equals_numpy_max_on_both_sides_of_the_row_switch(data, cols, side):
+    # one row short of the loop's minimum (the reduction) and at it (the loop,
+    # for last axes up to _ROW_MAX_LOOP_LEN)
+    rows = tz._ROW_MAX_LOOP_ROWS_PER_COL * cols + side
+    assert_row_max_is_numpy_max(data.draw(hnp.arrays(np.float32, (rows, cols),
+                                                      elements=row_elements)))
+
+
+def assert_row_max_is_numpy_max(x):
     # equal bit for bit, except the sign of a zero max (a row holding 0.0 and
     # -0.0; the softmax shift x - max is the same for either) and NaN payloads
     got, want = tz._row_max(x), x.max(axis=-1, keepdims=True)
     np.testing.assert_array_equal(got, want)
     plain = (want != 0) & ~np.isnan(want)
     assert np.array_equal(got[plain].view(np.uint32), want[plain].view(np.uint32))
+
+
+class TestAllocatorPolicy:
+    @staticmethod
+    def stub_mallopt(monkeypatch, results=None):
+        """Replace the C library's mallopt: record each call and answer with
+        the real mallopt (results None) or with the next of `results`."""
+        calls, answers = [], iter(results or ())
+        real = None
+        if results is None:
+            real = ctypes.CDLL(None).mallopt
+            real.argtypes, real.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+
+        def mallopt(param, value):
+            calls.append((param, value, real(param, value) if real else next(answers)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(tz.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        for name in tz._GLIBC_MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    @pytest.mark.skipif(not tz._glibc(), reason="the allocator policy is glibc's")
+    def test_glibc_accepts_both_thresholds(self, monkeypatch):
+        calls = self.stub_mallopt(monkeypatch)
+        assert tz._keep_freed_workspace() is True
+        assert calls == [(tz._M_MMAP_THRESHOLD, tz._MMAP_THRESHOLD_BYTES, 1),
+                         (tz._M_TRIM_THRESHOLD, tz._TRIM_THRESHOLD_BYTES, 1)]
+
+    @pytest.mark.parametrize("answer", [ValueError("unrecognized configuration name"), None])
+    def test_no_glibc_no_mallopt(self, monkeypatch, answer):
+        calls = self.stub_mallopt(monkeypatch, [1, 1])
+
+        def confstr(name):
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(tz.os, "confstr", confstr)
+        assert tz._keep_freed_workspace() is False
+        assert calls == []
+
+    @pytest.mark.parametrize("name", tz._GLIBC_MALLOC_ENV)
+    def test_users_own_glibc_setting_wins(self, monkeypatch, name):
+        calls = self.stub_mallopt(monkeypatch, [1, 1])
+        monkeypatch.setattr(tz.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setenv(name, "glibc.malloc.trim_threshold=0" if name == "GLIBC_TUNABLES"
+                           else "1048576")
+        assert tz._keep_freed_workspace() is False
+        assert calls == []
+
+    def test_refused_mmap_threshold_leaves_the_trim_threshold_alone(self, monkeypatch):
+        # a fixed trim threshold alone would freeze the mmap threshold too
+        calls = self.stub_mallopt(monkeypatch, [0])
+        monkeypatch.setattr(tz.os, "confstr", lambda name: "glibc 2.36")
+        assert tz._keep_freed_workspace() is False
+        assert [c[0] for c in calls] == [tz._M_MMAP_THRESHOLD]
 
 
 class TestLayerNorm:
