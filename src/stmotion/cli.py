@@ -47,6 +47,14 @@ def _budget_flag(args) -> int:
     return args.memory_budget
 
 
+def _check_joints(cfg, checkpoint, seq, data: str):
+    """The joint rule of `eval` and `rollout`: the checkpoint and the motion
+    file (`data`, its flag and path) have the same joint count."""
+    if cfg.n_joints != seq.skeleton.n_joints:
+        raise ConfigError(f"--checkpoint {checkpoint} expects {cfg.n_joints} joints, "
+                          f"{data} has {seq.skeleton.n_joints}")
+
+
 def _parse_config_file(path) -> dict:
     """Flat `key = value` lines with `#` comments."""
     out = {}
@@ -176,9 +184,7 @@ def cmd_eval(args) -> int:
                           f"got {args.horizons!r}") from None
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
-    if cfg.n_joints != seq.skeleton.n_joints:
-        raise ConfigError(
-            f"checkpoint expects {cfg.n_joints} joints, data has {seq.skeleton.n_joints}")
+    _check_joints(cfg, args.checkpoint, seq, f"--data {args.data}")
     fps = seq.frame_rate
     max_h = max(evalmetrics.span_frames("--horizons", h, fps, per_second=1000.0)
                 for h in horizons)
@@ -215,6 +221,7 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
+    _check_joints(cfg, args.checkpoint, seed_seq, f"--seed-file {args.seed_file}")
     seed = seed_seq.flat()
     steps = evalmetrics.span_frames("--seconds", args.seconds, seed_seq.frame_rate)
     _check_budget(f"--seconds {args.seconds:g} ({steps} frames)",

@@ -90,80 +90,26 @@ def positional_errors(pred, target, skeleton: Skeleton) -> np.ndarray:
     return np.linalg.norm(pp - pt, axis=-1)  # (B, T, N)
 
 
-def metric_positional(pred, target, skeleton: Skeleton, horizons_ms,
-                      frame_rate: float) -> dict[float, float]:
-    return _horizon_means(positional_errors(pred, target, skeleton), horizons_ms, frame_rate)
-
-
 DEFAULT_PCK_THRESHOLDS = tuple(float(t) for t in range(0, 301, 10))  # mm
 
 
-def metric_pck_auc(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float,
-                   thresholds=DEFAULT_PCK_THRESHOLDS) -> dict[float, float]:
-    """PCK(tau) = percent of (joint, frame) pairs within tau millimeters;
-    AUC is the trapezoidal mean of PCK over the threshold grid."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.size == 0:
-        raise ValueError("thresholds must be non-empty")
-    if thresholds.size > 1 and not np.all(np.diff(thresholds) > 0):
-        raise ValueError("thresholds must be strictly increasing")
-    return _pck_auc(positional_errors(pred, target, skeleton), horizons_ms, frame_rate,
-                    thresholds)
-
-
-def _pck_auc(err: np.ndarray, horizons_ms, frame_rate: float,
-             thresholds: np.ndarray) -> dict[float, float]:
+def _pck_auc(err: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
+    """PCK(tau) = percent of (joint, frame) pairs of the (B, T, N) positional
+    errors `err` within tau millimeters, up to each horizon; the AUC is the
+    trapezoidal mean of PCK over DEFAULT_PCK_THRESHOLDS."""
+    thresholds = np.asarray(DEFAULT_PCK_THRESHOLDS)
     out = {}
     for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate)):
         e = err[:, :f].reshape(-1)
         pck = np.array([100.0 * (e <= t).mean() for t in thresholds])
-        if thresholds.size == 1:
-            out[h] = float(pck[0])
-        else:
-            auc = np.trapezoid(pck, thresholds) / (thresholds[-1] - thresholds[0])
-            out[h] = float(auc)
+        auc = np.trapezoid(pck, thresholds) / (thresholds[-1] - thresholds[0])
+        out[h] = float(auc)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Radix-2 FFT and power-spectrum distributions
+# Power-spectrum distributions
 # ---------------------------------------------------------------------------
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis.
-
-    The transform length must be a power of two; input may be real or
-    complex and is vectorized over leading axes."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError(f"FFT length must be a power of two, got {n}")
-    # bit-reversal permutation
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    out = x[..., rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        shaped = out.reshape(out.shape[:-1] + (n // size, size))
-        even = shaped[..., :half].copy()
-        odd = shaped[..., half:] * tw
-        shaped[..., :half] = even + odd
-        shaped[..., half:] = even - odd
-        size *= 2
-    return out
-
-
-def next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 @dataclass
@@ -188,14 +134,12 @@ def ps_of_windows(windows, skeleton: Skeleton) -> PSDistribution:
     t_w = windows[0].shape[0]
     if any(w.shape[0] != t_w for w in windows):
         raise ValueError("all windows must have equal length")
-    k = next_pow2(t_w)
+    k = 1 << (t_w - 1).bit_length()                     # the next power of two
     stack = np.stack(windows)                           # (W, T_w, N, 9)
     pos = fk_positions(_mats(stack), skeleton)          # (W, T_w, N, 3)
     w_count, _, n, _ = pos.shape
     feats = pos.transpose(0, 2, 3, 1).reshape(w_count, 3 * n, t_w)
-    padded = np.zeros((w_count, 3 * n, k))
-    padded[..., :t_w] = feats
-    power = np.abs(fft_radix2(padded)) ** 2             # (W, F, K)
+    power = np.abs(np.fft.fft(feats, n=k)) ** 2         # zero-padded: (W, F, K)
     mean = power.mean(axis=0)
     total = mean.sum(axis=-1, keepdims=True)
     total = np.where(total > 0, total, 1.0)
@@ -262,14 +206,6 @@ def write_metric_csv(path, report: dict[float, dict[str, float]]):
                      f"{r['positional_mm']!r},{r['pck_auc']!r}\n")
 
 
-def write_longterm_csv(path, seconds, klds, ents):
-    """`second,ps_kld,ps_entropy` rows."""
-    with atomic_write(path) as fh:
-        fh.write("second,ps_kld,ps_entropy\n")
-        for s, k, e in zip(seconds, klds, ents):
-            fh.write(f"{s},{k!r},{e!r}\n")
-
-
 def full_report(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float):
     """All Table-style metrics keyed by horizon; forward kinematics runs once
     per side."""
@@ -277,6 +213,6 @@ def full_report(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float
     ge = metric_geodesic(pred, target, horizons_ms, frame_rate)
     err = positional_errors(pred, target, skeleton)
     po = _horizon_means(err, horizons_ms, frame_rate)
-    pk = _pck_auc(err, horizons_ms, frame_rate, np.asarray(DEFAULT_PCK_THRESHOLDS))
+    pk = _pck_auc(err, horizons_ms, frame_rate)
     return {h: {"euler": eu[h], "geodesic": ge[h],
                 "positional_mm": po[h], "pck_auc": pk[h]} for h in horizons_ms}

@@ -57,6 +57,9 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(self, counts=("n_joints", "joint_dim", "embed_dim", "n_layers",
                                    "n_heads", "ff_size", "window"))
+        if self.embed_dim % 2 != 0:
+            raise ConfigError(f"embed_dim {self.embed_dim} must be even: the positional "
+                              f"encoding pairs a sine and a cosine channel")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be divisible by n_heads {self.n_heads}")
@@ -406,10 +409,8 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
             t_out, t_w = _temporal_stream(ej, params, pre, cfg, ejq)
             s_out, s_w = _spatial_stream(eq, ejq, params, pre, cfg)
             if not last_only:
-                # (N, H, B, T, T) -> (H, T, T), averaged over batch and joints;
-                # summed batch-major, so the maps do not depend on the layout
-                maps.temporal.append(
-                    np.ascontiguousarray(t_w.transpose(2, 0, 1, 3, 4)).mean(axis=(0, 1)))
+                # (N, H, B, T, T) -> (H, T, T), averaged over joints and batch
+                maps.temporal.append(t_w.mean(axis=(0, 2)))
                 maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
             e = _aggregate(eq, [t_out, s_out], params, pre, cfg, training, rng)
         elif cfg.variant == "vanilla_1d":

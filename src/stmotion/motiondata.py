@@ -315,17 +315,6 @@ def load_motion(path) -> MotionSequence:
         return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
 
 
-def export_positions_csv(path, seq: MotionSequence):
-    """Forward-kinematics positions as `frame,joint,x,y,z` rows."""
-    pos = forward_kinematics(seq)
-    with tz.atomic_write(path) as fh:
-        fh.write("frame,joint,x,y,z\n")
-        for t in range(pos.shape[0]):
-            for j in range(pos.shape[1]):
-                x, y, z = pos[t, j]
-                fh.write(f"{t},{seq.skeleton.joint_names[j]},{x:.6f},{y:.6f},{z:.6f}\n")
-
-
 def skeleton_from_json(path) -> Skeleton:
     with open(path) as fh, _file_errors("skeleton file", path):
         return Skeleton(**json.load(fh))

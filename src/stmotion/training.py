@@ -43,6 +43,10 @@ class TrainConfig:
             raise ConfigError(f"seed {self.seed} must be >= 0")
         if not self.max_grad_norm > 0:
             raise ConfigError(f"max_grad_norm {self.max_grad_norm!r} must be positive")
+        for name in ("reverse_prob", "mirror_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} {value!r} must be a probability in [0, 1]")
         if not 0 < self.val_horizon_ms < math.inf:
             raise ConfigError(f"val_horizon_ms {self.val_horizon_ms!r} must be positive "
                               f"and finite")

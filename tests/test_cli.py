@@ -238,9 +238,11 @@ class TestTrain:
         ("n_val_windows = 0", "n_val_windows 0 must be >= 1"),
         ("patience = 0", "patience 0 must be >= 1"),
         ("val_horizon_ms = inf", "val_horizon_ms inf"),
+        ("embed_dim = 5\nn_heads = 1", "embed_dim 5 must be even"),
+        ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
-            "patience_0", "val_horizon_inf"])
+            "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG + line + "\n")
@@ -752,6 +754,27 @@ class TestFileFormats:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], err
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_joint_count_mismatch_names_both_files(self, workdir, tmp_path, capsys,
+                                                   monkeypatch, command):
+        def budget(*args):
+            raise AssertionError("the joint count must be checked before the budget")
+
+        monkeypatch.setattr(cli, "_check_budget", budget)
+        three = motiondata.Skeleton(["root", "a", "b"], [-1, 0, 1],
+                                    [[0, 0, 0], [0, 100, 0], [0, 100, 0]], [0, 1, 2])
+        data = tmp_path / "three.stm1"
+        motiondata.save_motion(data, motiondata.MotionSequence(
+            three, np.tile(np.eye(3, dtype=np.float32), (40, 3, 1, 1)), 60.0))
+        ckpt, out = workdir / "run" / "best.stt1", tmp_path / "o"
+        flag = "--data" if command == "eval" else "--seed-file"
+        extra = [] if command == "eval" else ["--seconds", "0.05"]
+        assert cli.main([command, "--checkpoint", str(ckpt), flag, str(data), *extra,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --checkpoint {ckpt} expects 9 joints, {flag} {data} has 3"]
+        assert not out.exists()
 
     def test_deeply_nested_header_is_a_usage_error(self, tmp_path, capsys):
         deep = tmp_path / "deep.stm1"

@@ -85,10 +85,6 @@ class TestAngleMetrics:
 
 
 class TestPositionalMetrics:
-    def test_zero_on_equal(self):
-        sk, rots = rot_seq(5)
-        assert ev.metric_positional(rots, rots, sk, [100.0], 60.0)[100.0] < 1e-6
-
     def test_straight_arm_block_oracle(self):
         # rotating only l_collar by theta moves the l_arm end by a chord of
         # the circle with radius |l_arm offset|
@@ -106,72 +102,29 @@ class TestPositionalMetrics:
         assert abs(err[j]) < 1e-6          # the rotated joint itself stays put
         assert abs(err[child] - chord) < 1e-6
 
-    def test_pck_extreme_thresholds(self):
-        sk, rots = rot_seq(5, seed=1)
-        _, pred = rot_seq(5, seed=2)
-        # single huge threshold: everything within -> 100
-        assert ev.metric_pck_auc(pred, rots, sk, [100.0], 60.0,
-                                 thresholds=(1e9,))[100.0] == 100.0
-        assert ev.metric_pck_auc(rots, rots, sk, [100.0], 60.0)[100.0] == 100.0
-
     def test_pck_statistical(self):
-        # 50% of joints displaced beyond the largest threshold ->
-        # AUC close to 50
+        # half the frames turn the root, which displaces most joints far: the
+        # AUC is the trapezoidal mean of PCK over the default grid
         sk = md.default_skeleton()
         n = sk.n_joints
         tgt = np.tile(np.eye(3).reshape(9).astype(np.float32), (40, n, 1))
         pred = tgt.copy()
-        pred[:20, 0] = rx_flat(np.pi / 2)  # root turn displaces most joints far
-        auc_half = ev.metric_pck_auc(pred, tgt, sk, [1000.0], 60.0,
-                                     thresholds=(0.0, 1.0))[1000.0]
-        frac_exact = 100.0 * (ev.positional_errors(pred, tgt, sk) <= 1.0).mean()
-        assert abs(auc_half - frac_exact) < 1e-6
+        pred[:20, 0] = rx_flat(np.pi / 2)
+        auc = ev.full_report(pred, tgt, sk, [1000.0], 60.0)[1000.0]["pck_auc"]
+        err = ev.positional_errors(pred, tgt, sk)
+        grid = np.asarray(ev.DEFAULT_PCK_THRESHOLDS)
+        pck = [100.0 * (err <= t).mean() for t in grid]
+        assert auc == pytest.approx(np.trapezoid(pck, grid) / (grid[-1] - grid[0]), abs=1e-9)
+        assert 50.0 < auc < 100.0  # the unturned half is exact
 
     def test_batch_mismatch_raises_instead_of_broadcasting(self):
         # (1, T, N, 9) against (3, T, N, 9): broadcasting scored it 0 mm, AUC 100
         sk, rots = rot_seq(4, seed=3)
         one, three = rots[None], np.stack([rots] * 3)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ev.metric_positional(one, three, sk, [50.0], 60.0)
+            ev.positional_errors(one, three, sk)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ev.metric_pck_auc(one, three, sk, [50.0], 60.0)
-
-    def test_pck_bad_thresholds(self):
-        sk, rots = rot_seq(3)
-        with pytest.raises(ValueError):
-            ev.metric_pck_auc(rots, rots, sk, [100.0], 60.0, thresholds=())
-        with pytest.raises(ValueError):
-            ev.metric_pck_auc(rots, rots, sk, [100.0], 60.0, thresholds=(10.0, 5.0))
-
-
-class TestFft:
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 4, 8, 64, 256):
-            x = rng.standard_normal(n)
-            np.testing.assert_allclose(ev.fft_radix2(x), np.fft.fft(x), atol=1e-9)
-
-    def test_complex_and_batched(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((3, 5, 32)) + 1j * rng.standard_normal((3, 5, 32))
-        np.testing.assert_allclose(ev.fft_radix2(x), np.fft.fft(x, axis=-1), atol=1e-9)
-
-    def test_pure_tone(self):
-        n = 64
-        k = 5
-        x = np.cos(2 * np.pi * k * np.arange(n) / n)
-        X = np.abs(ev.fft_radix2(x))
-        assert X[k] > n / 2 - 1e-6
-        mask = np.ones(n, bool)
-        mask[[k, n - k]] = False
-        assert np.abs(X[mask]).max() < 1e-9
-
-    def test_non_pow2_rejected(self):
-        with pytest.raises(ValueError):
-            ev.fft_radix2(np.ones(12))
-
-    def test_next_pow2(self):
-        assert [ev.next_pow2(v) for v in (1, 2, 3, 60, 64, 65)] == [1, 2, 4, 64, 64, 128]
+            ev.full_report(one, three, sk, [50.0], 60.0)
 
 
 class TestPowerSpectrum:
@@ -202,6 +155,24 @@ class TestPowerSpectrum:
         flat = np.array([[0.3, 0.3, 0.2, 0.2]])
         assert ev.ps_entropy(ev.PSDistribution(flat, 4)) > \
             ev.ps_entropy(ev.PSDistribution(peaked, 4))
+
+    def test_pure_tone_concentrates_at_its_bin(self):
+        # only l_collar swings about z, by a small angle at 4 cycles per 32
+        # frames: every moving coordinate is ~a tone at bin 4 (and its mirror
+        # 28); its x-y circle bends a small second harmonic into bin 8
+        sk = md.default_skeleton()
+        t, k = 32, 4
+        rots = np.tile(np.eye(3).reshape(9).astype(np.float32), (t, sk.n_joints, 1))
+        j = sk.joint_names.index("l_collar")
+        for f in range(t):
+            angle = 0.05 * np.sin(2 * np.pi * k * f / t)
+            rots[f, j] = so3.rotmat_from_angleaxis([0, 0, angle]).reshape(9)
+        dist = ev.ps_of_windows([rots], sk)
+        moving = dist.spectra[:, 1:].sum(axis=-1) > 1e-6   # rows with power off DC
+        assert moving.any()
+        tone = dist.spectra[moving][:, [k, t - k]].sum(axis=-1)
+        off_dc = dist.spectra[moving][:, 1:].sum(axis=-1)
+        assert np.all(tone > 0.99 * off_dc)
 
     def test_static_pose_concentrates_at_dc(self):
         sk = md.default_skeleton()
@@ -287,14 +258,6 @@ class TestCsvWriters:
         assert float(first[0]) == 80.0
         assert float(first[1]) == report[80.0]["euler"]
 
-    def test_longterm_csv(self, tmp_path):
-        p = tmp_path / "lt.csv"
-        ev.write_longterm_csv(p, [1, 2], [0.5, 0.25], [1.5, 1.75])
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "second,ps_kld,ps_entropy"
-        assert lines[1] == "1,0.5,1.5"
-        assert lines[2] == "2,0.25,1.75"
-
     def test_full_report_consistent(self):
         sk, rots = rot_seq(20, seed=8)
         report = ev.full_report(rots, rots, sk, [100.0], 60.0)
@@ -307,11 +270,16 @@ class TestCsvWriters:
         _, pred = rot_seq(24, seed=10)
         pred, truth = np.stack([pred, truth]), np.stack([truth, pred])
         horizons = [50.0, 200.0, 400.0]
+        err = ev.positional_errors(pred, truth, sk)
+        grid = np.asarray(ev.DEFAULT_PCK_THRESHOLDS)
+        frames = ev.horizon_frames(horizons, 60.0)
         separate = {
             "euler": ev.metric_euler(pred, truth, horizons, 60.0),
             "geodesic": ev.metric_geodesic(pred, truth, horizons, 60.0),
-            "positional_mm": ev.metric_positional(pred, truth, sk, horizons, 60.0),
-            "pck_auc": ev.metric_pck_auc(pred, truth, sk, horizons, 60.0),
+            "positional_mm": {h: float(err[:, :f].mean()) for h, f in zip(horizons, frames)},
+            "pck_auc": {h: float(np.trapezoid([100.0 * (err[:, :f] <= t).mean() for t in grid],
+                                              grid) / (grid[-1] - grid[0]))
+                        for h, f in zip(horizons, frames)},
         }
         calls = []
         fk = ev.fk_positions

@@ -38,7 +38,8 @@ class TestConfig:
         (dict(ff_per_branch=1), "ff_per_branch 1 must be bool"),
         (dict(n_layers=True), "n_layers True must be int"),
         (dict(window=0), "window 0 must be >= 1"),
-    ], ids=["int_for_bool", "bool_for_int", "zero_window"])
+        (dict(embed_dim=5, n_heads=1), "embed_dim 5 must be even"),
+    ], ids=["int_for_bool", "bool_for_int", "zero_window", "odd_embed_dim"])
     def test_bad_value_names_the_field(self, kw, named):
         with pytest.raises(ConfigError, match=named):
             mo.ModelConfig(**kw)

@@ -292,18 +292,6 @@ class TestFileFormats:
                            + re.escape(message)):
             md.load_motion(p)
 
-    def test_positions_csv(self, tmp_path):
-        seq = identity_seq(2)
-        p = tmp_path / "pos.csv"
-        md.export_positions_csv(p, seq)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "frame,joint,x,y,z"
-        assert len(lines) == 1 + 2 * seq.skeleton.n_joints
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert first[1] == "root"
-        np.testing.assert_allclose([float(v) for v in first[2:]], 0.0)
-
     def test_skeleton_json(self, tmp_path):
         sk = md.default_skeleton()
         p = tmp_path / "sk.json"

@@ -292,7 +292,11 @@ class TestTrainLoop:
         (dict(seed=-1), "seed -1 must be >= 0"),
         (dict(max_grad_norm=float("nan")), "max_grad_norm nan"),
         (dict(val_horizon_ms=0.0), "val_horizon_ms 0.0"),
-    ], ids=["negative_seed", "nan_norm", "zero_horizon"])
+        (dict(mirror_prob=1.5), "mirror_prob 1.5 must be a probability"),
+        (dict(reverse_prob=-2), "reverse_prob -2 must be a probability"),
+        (dict(mirror_prob=float("nan")), "mirror_prob nan must be a probability"),
+    ], ids=["negative_seed", "nan_norm", "zero_horizon", "mirror_above_one",
+            "reverse_negative", "mirror_nan"])
     def test_bad_value_names_the_field(self, kw, named):
         with pytest.raises(ConfigError, match=named):
             tr.TrainConfig(**kw)
