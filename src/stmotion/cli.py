@@ -47,11 +47,11 @@ def _budget_flag(args) -> int:
     return args.memory_budget
 
 
-def _check_joints(cfg, checkpoint, seq, data: str):
-    """The joint rule of `eval` and `rollout`: the checkpoint and the motion
-    file (`data`, its flag and path) have the same joint count."""
+def _check_joints(cfg, source: str, seq, data: str):
+    """The joint rule of `train`, `eval` and `rollout`: the config file or checkpoint
+    (`source`, its flag and path) and the motion file (`data`) have the same joint count."""
     if cfg.n_joints != seq.skeleton.n_joints:
-        raise ConfigError(f"--checkpoint {checkpoint} expects {cfg.n_joints} joints, "
+        raise ConfigError(f"{source} expects {cfg.n_joints} joints, "
                           f"{data} has {seq.skeleton.n_joints}")
 
 
@@ -94,8 +94,7 @@ def _build_configs(args, n_joints: int):
              "tau_mode": "sum_normalize" if args.tau == "sum" else args.tau,
              "max_steps": args.steps, "seed": args.seed,
              "batch_size": args.batch_size, "warmup": args.warmup}
-    kw = {**file_cfg, **{k: v for k, v in flags.items() if v is not None},
-          "n_joints": n_joints}
+    kw = {"n_joints": n_joints, **file_cfg, **{k: v for k, v in flags.items() if v is not None}}
     return (model.ModelConfig(**{k: v for k, v in kw.items() if k in mfields}),
             training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
@@ -138,12 +137,13 @@ def cmd_train(args) -> int:
     budget = _budget_flag(args)
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
+    _check_joints(cfg, f"--config {args.config}", seq, f"--data {args.data}")
     horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, seq.frame_rate,
                                       per_second=1000.0)
     n_val = tcfg.n_val_windows  # windows of window + horizon frames, rolled out at once
     _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}", 4 * (
         model.estimate_workspace_elements(cfg, tcfg.batch_size)
-        + n_val * (cfg.window + horizon) * cfg.n_joints * cfg.joint_dim
+        + n_val * (cfg.window + horizon) * cfg.n_joints * motiondata.JOINT_DIM
         + model.estimate_workspace_elements(cfg, n_val)), budget)
 
     # deterministic train/validation split along time
@@ -184,7 +184,7 @@ def cmd_eval(args) -> int:
                           f"got {args.horizons!r}") from None
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
-    _check_joints(cfg, args.checkpoint, seq, f"--data {args.data}")
+    _check_joints(cfg, f"--checkpoint {args.checkpoint}", seq, f"--data {args.data}")
     fps = seq.frame_rate
     max_h = max(evalmetrics.span_frames("--horizons", h, fps, per_second=1000.0)
                 for h in horizons)
@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
                           f"window of {cfg.window + max_h} ({cfg.window} seed frames and "
                           f"{max_h} for --horizons {args.horizons})")
     _check_budget(f"--n-windows {args.n_windows}", 4 * (
-        args.n_windows * (cfg.window + max_h) * cfg.n_joints * cfg.joint_dim
+        args.n_windows * (cfg.window + max_h) * cfg.n_joints * motiondata.JOINT_DIM
         + model.estimate_workspace_elements(cfg, args.n_windows)))
 
     rng = np.random.default_rng(args.seed)
@@ -221,11 +221,11 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
-    _check_joints(cfg, args.checkpoint, seed_seq, f"--seed-file {args.seed_file}")
+    _check_joints(cfg, f"--checkpoint {args.checkpoint}", seed_seq, f"--seed-file {args.seed_file}")
     seed = seed_seq.flat()
     steps = evalmetrics.span_frames("--seconds", args.seconds, seed_seq.frame_rate)
     _check_budget(f"--seconds {args.seconds:g} ({steps} frames)",
-                  4 * steps * cfg.n_joints * cfg.joint_dim)
+                  4 * steps * cfg.n_joints * motiondata.JOINT_DIM)
     pred, maps = model.rollout(params, cfg, seed, steps,
                                collect_attention=bool(args.dump_attention))
     out_seq = motiondata.MotionSequence(
@@ -250,14 +250,13 @@ def cmd_bench(args) -> int:
     budget = _budget_flag(args)
     triples = []
     for part in args.grid.split(";"):
-        vals = [int(v) for v in part.split(",")]
-        if len(vals) != 3:
-            raise ConfigError("grid entries must be L,W,B triples")
-        if min(vals) < 1:
-            raise ConfigError(f"--grid entry {part!r}: L, W and B must be >= 1")
-        triples.append(tuple(vals))
-    if not triples:
-        raise ConfigError("grid must be non-empty")
+        try:
+            vals = tuple(int(v) for v in part.split(","))
+        except ValueError:
+            vals = ()
+        if len(vals) != 3 or min(vals) < 1:
+            raise ConfigError(f"--grid entry {part!r} must be three integers L,W,B >= 1")
+        triples.append(vals)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     rng = np.random.default_rng(args.seed)
@@ -275,7 +274,7 @@ def cmd_bench(args) -> int:
             rows.append((layers, win, batch, "OOM", "", "", "", ""))
             continue
         params = model.init_params(cfg, rng)
-        x = rng.standard_normal((batch, win, args.n_joints, 9)).astype(np.float32)
+        x = rng.standard_normal((batch, win, args.n_joints, motiondata.JOINT_DIM)).astype(np.float32)
         _, _, stats = model.forward(params, cfg, x)  # warmup
         times, faults = [], []
         for _ in range(args.repeats):

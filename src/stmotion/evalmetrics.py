@@ -15,7 +15,7 @@ import numpy as np
 
 from . import so3
 from .errors import ConfigError
-from .motiondata import Skeleton, fk_positions
+from .motiondata import JOINT_DIM, Skeleton, fk_positions
 from .tensor import atomic_write
 
 
@@ -23,7 +23,7 @@ def _promote(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 3:
         x = x[None]
-    if x.ndim != 4 or x.shape[-1] != 9:
+    if x.ndim != 4 or x.shape[-1] != JOINT_DIM:
         raise ValueError(f"expected (B, T, N, 9) rotations, got {x.shape}")
     return x
 

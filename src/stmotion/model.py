@@ -42,7 +42,6 @@ _NEG_INF = -1e9  # additive mask value; large enough to underflow exp() to 0
 @dataclass
 class ModelConfig:
     n_joints: int = 9
-    joint_dim: int = JOINT_DIM
     embed_dim: int = 128      # D
     n_layers: int = 8         # L
     n_heads: int = 8          # H
@@ -55,8 +54,8 @@ class ModelConfig:
     ff_per_branch: bool = False
 
     def __post_init__(self):
-        check_fields(self, counts=("n_joints", "joint_dim", "embed_dim", "n_layers",
-                                   "n_heads", "ff_size", "window"))
+        check_fields(self, counts=("n_joints", "embed_dim", "n_layers", "n_heads",
+                                   "ff_size", "window"))
         if self.embed_dim % 2 != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} must be even: the positional "
                               f"encoding pairs a sine and a cosine channel")
@@ -85,6 +84,8 @@ class ModelConfig:
         values = json.loads(s)
         if not isinstance(values, dict):
             raise ConfigError("model config must be a JSON object")
+        if values.get("joint_dim") == JOINT_DIM:  # older headers hold the pose layout
+            del values["joint_dim"]
         names = {f.name for f in fields(cls)}
         for problem, keys in (("unknown", values.keys() - names), ("missing", names - values.keys())):
             if keys:
@@ -147,7 +148,7 @@ def _positional_encoding(length: int, dim: int, dtype) -> np.ndarray:
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every trainable tensor, in initialization order."""
-    n, m, d, h, f, ff = (cfg.n_joints, cfg.joint_dim, cfg.embed_dim,
+    n, m, d, h, f, ff = (cfg.n_joints, JOINT_DIM, cfg.embed_dim,
                          cfg.n_heads, cfg.head_dim, cfg.ff_size)
     vanilla = cfg.variant == "vanilla_1d"
     p = {"embed.w": (n * m, d) if vanilla else (n, m, d),
@@ -213,9 +214,8 @@ def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
     best = None
     for d in range(cfg.n_heads, 16 * cfg.embed_dim + 1, cfg.n_heads):
         cand = ModelConfig(
-            n_joints=cfg.n_joints, joint_dim=cfg.joint_dim, embed_dim=d,
-            n_layers=cfg.n_layers, n_heads=cfg.n_heads, ff_size=2 * d,
-            window=cfg.window, dropout=cfg.dropout, tau_mode=cfg.tau_mode,
+            n_joints=cfg.n_joints, embed_dim=d, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
+            ff_size=2 * d, window=cfg.window, dropout=cfg.dropout, tau_mode=cfg.tau_mode,
             variant="vanilla_1d")
         count = _config_param_count(cand)
         diff = abs(count - target)
@@ -369,9 +369,9 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     if squeeze:
         x = x[None]
     b, t, n, m = x.shape
-    if n != cfg.n_joints or m != cfg.joint_dim:
+    if n != cfg.n_joints or m != JOINT_DIM:
         raise ConfigError(f"window joints/dims {(n, m)} do not match config "
-                          f"{(cfg.n_joints, cfg.joint_dim)}")
+                          f"{(cfg.n_joints, JOINT_DIM)}")
     if t > cfg.window:
         raise ConfigError(f"window length {t} exceeds configured maximum {cfg.window}")
     if training and cfg.dropout > 0 and rng is None:
@@ -558,12 +558,11 @@ def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
     return ForwardStats([s for s, _ in layers], tokens * d + sum(w for _, w in layers))
 
 
-def estimate_workspace_elements(cfg: ModelConfig, batch: int, t: int | None = None) -> int:
-    """Forward workspace elements for a batch of T-frame windows (default T:
-    the configured window), as `forward` reports them in ForwardStats. Used
-    for memory budgeting."""
-    t = cfg.window if t is None else t
-    return _forward_stats(cfg, batch, t, t).workspace_elements
+def estimate_workspace_elements(cfg: ModelConfig, batch: int) -> int:
+    """Forward workspace elements for a batch of windows of the configured
+    length, as `forward` reports them in ForwardStats. Used for memory
+    budgeting."""
+    return _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def synth_bytes_per_frame(n_joints: int) -> int:
     four float64 (T, N, 3, 3) arrays, the rotations and, in project_to_so3's
     validity test, their gram matrices, gram - I and its abs. Rodrigues'
     matrices pass that test, so its SVD branch does not run."""
-    return 4 * n_joints * 9 * np.dtype(np.float64).itemsize
+    return 4 * n_joints * JOINT_DIM * np.dtype(np.float64).itemsize
 
 
 def synth_motion(

@@ -18,7 +18,7 @@ import numpy as np
 from . import evalmetrics, tensor as tz
 from .errors import ConfigError, NumericError, check_fields
 from .model import ModelConfig, forward, rollout_batch
-from .motiondata import MotionSequence, shift_targets, augment_mirror, augment_reverse
+from .motiondata import JOINT_DIM, MotionSequence, shift_targets, augment_mirror, augment_reverse
 from .tensor import Tape, Tensor, backward
 
 
@@ -85,12 +85,13 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
     return {k: g * np.float32(factor) for k, g in grads.items()}, total
 
 
-class AdamState:
-    """First/second moment accumulators with the standard defaults."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the standard Adam constants
 
-    def __init__(self, params: dict[str, Tensor],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+class AdamState:
+    """First/second moment accumulators."""
+
+    def __init__(self, params: dict[str, Tensor]):
         self.step = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
@@ -100,16 +101,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float):
     """One Adam update with bias correction, in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for k, p in params.items():
         g = grads[k]
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def make_eval_windows(seqs: list[MotionSequence], count: int, length: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Sample `count` flattened windows of `length` frames across sequences."""
     picks = list(_window_starts(seqs, count, length, rng))
-    out = np.empty((count, length, seqs[0].skeleton.n_joints, 9), dtype=np.float32)
+    out = np.empty((count, length, seqs[0].skeleton.n_joints, JOINT_DIM), dtype=np.float32)
     for i, (seq, start) in enumerate(picks):
         out[i] = seq.flat()[start:start + length]
     return out

@@ -240,9 +240,11 @@ class TestTrain:
         ("val_horizon_ms = inf", "val_horizon_ms inf"),
         ("embed_dim = 5\nn_heads = 1", "embed_dim 5 must be even"),
         ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
+        ("joint_dim = 6", "unknown config keys: ['joint_dim']"),
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
-            "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one"])
+            "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one",
+            "joint_dim"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG + line + "\n")
@@ -300,6 +302,28 @@ class TestTrain:
                          "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], err
+
+    def test_config_joint_count_must_match_the_data(self, workdir, tmp_path, capsys,
+                                                    monkeypatch):
+        def budget(*args):
+            raise AssertionError("the joint count must be checked before the budget")
+
+        monkeypatch.setattr(cli, "_check_budget", budget)
+        data, bad = workdir / "data.stm1", tmp_path / "five.cfg"
+        bad.write_text(CONFIG + "n_joints = 5\n")
+        assert cli.main(["train", "--data", str(data), "--config", str(bad),
+                         "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --config {bad} expects 5 joints, --data {data} has 9"]
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_config_joint_count_matching_the_data_trains(self, workdir, tmp_path):
+        cfg = tmp_path / "nine.cfg"
+        cfg.write_text(CONFIG + "n_joints = 9\n")
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"), "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "x")]) == 0
+        for name in ("best.stt1", "final.stt1", "history.csv"):
+            assert (tmp_path / "x" / name).read_bytes() == (workdir / "run" / name).read_bytes()
 
     def test_unknown_config_key(self, workdir, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -567,8 +591,11 @@ class TestBench:
 
     @pytest.mark.parametrize("flags, named", [
         (["--repeats", "0"], "--repeats"),
-        (["--grid", "2,0,2"], "--grid"),
-    ], ids=["repeats", "grid"])
+        (["--grid", "2,0,2"], "--grid entry '2,0,2'"),
+        (["--grid", "a,b,c"], "--grid entry 'a,b,c'"),
+        (["--grid", "2,8"], "--grid entry '2,8'"),
+        (["--grid", "2,8,1;"], "--grid entry ''"),
+    ], ids=["repeats", "grid", "grid_not_integers", "grid_pair", "grid_empty_entry"])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, flags, named):
         out = tmp_path / "b.csv"
         assert cli.main(["bench", "--variant", "st", *flags, "--out", str(out)]) == 2

@@ -9,6 +9,7 @@ import pytest
 from stmotion import model as mo
 from stmotion import tensor as tz
 from stmotion.errors import ConfigError, NumericError
+from stmotion.motiondata import JOINT_DIM
 from stmotion.tensor import Tape, Tensor, backward
 
 
@@ -22,7 +23,7 @@ def tiny_cfg(**kw):
 def rand_window(cfg, b=2, t=None, seed=0, dtype=np.float32):
     t = cfg.window if t is None else t
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((b, t, cfg.n_joints, cfg.joint_dim)).astype(dtype)
+    return rng.standard_normal((b, t, cfg.n_joints, JOINT_DIM)).astype(dtype)
 
 
 class TestConfig:
@@ -59,12 +60,19 @@ class TestConfig:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(n_layer=1), "unknown keys ['n_layer']"),
         (lambda d: d.pop("window"), "missing keys ['window']"),
-    ], ids=["unknown", "missing"])
+        (lambda d: d.update(joint_dim=6), "unknown keys ['joint_dim']"),
+    ], ids=["unknown", "missing", "joint_dim_not_the_pose_layout"])
     def test_json_keys_must_be_the_fields(self, edit, message):
         values = json.loads(tiny_cfg().to_json())
         edit(values)
         with pytest.raises(ConfigError, match=re.escape(message)):
             mo.ModelConfig.from_json(json.dumps(values))
+
+    def test_older_header_with_the_pose_layout_loads(self):
+        # headers written while the pose layout was a field hold "joint_dim": 9
+        cfg = tiny_cfg(ff_per_branch=True)
+        values = {**json.loads(cfg.to_json()), "joint_dim": JOINT_DIM}
+        assert mo.ModelConfig.from_json(json.dumps(values, sort_keys=True)) == cfg
 
 
 class TestPositionalEncoding:
@@ -222,7 +230,7 @@ class TestScoreCounters:
             assert maps.temporal == maps.spatial == []
             assert stats.scores_per_layer[:-1] == full_stats.scores_per_layer[:-1]
         else:
-            assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2, 8)
+            assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2)
 
     def test_decoupled_cheaper_than_full_2d(self):
         n, t = 9, 32
@@ -530,7 +538,7 @@ class TestRollout:
         params = mo.init_params(cfg, np.random.default_rng(24))
         seed = rand_window(cfg, b=1, t=5, seed=24)[0]
         out, maps = mo.rollout(params, cfg, seed, 3, collect_attention=True)
-        assert out.shape == (3, cfg.n_joints, cfg.joint_dim)
+        assert out.shape == (3, cfg.n_joints, JOINT_DIM)
         assert len(maps) == 3
         first = mo.forward(params, cfg, seed)[1]
         assert len(maps[0].temporal) == len(maps[0].spatial) == cfg.n_layers
@@ -602,7 +610,7 @@ class TestLastOnly:
         x = rand_window(cfg, b=1, seed=62)[0]
         pred, maps, _ = mo.forward(params, cfg, x, last_only=True)
         full, _, _ = mo.forward(params, cfg, x)
-        assert pred.data.shape == (1, cfg.n_joints, cfg.joint_dim)
+        assert pred.data.shape == (1, cfg.n_joints, JOINT_DIM)
         np.testing.assert_array_equal(pred.data, full.data[-1:])
         assert maps == mo.AttentionMaps()
 
