@@ -1,8 +1,8 @@
 """Generate synthetic skeletal motion and inspect it with forward kinematics.
 
 Walks through the data tooling: the default 9-joint skeleton, sinusoidal
-motion synthesis, forward kinematics to 3D positions, the mirror/reverse
-augmentations, and the binary motion file format.
+motion synthesis, forward kinematics to 3D positions, the left/right mirror
+used by training's mirror augmentation, and the binary motion file format.
 
 Run:  python3 demos/01_synthetic_motion_and_fk.py
 """
@@ -32,7 +32,7 @@ flat_mats = seq.rotations.reshape(-1, 3, 3)
 print("all rotations valid:", bool(np.all(so3.is_valid_rotmat(flat_mats, tol=1e-4))))
 
 # Forward kinematics: positions in millimeters.
-pos = md.forward_kinematics(seq)
+pos = md.fk_positions(seq.rotations, skeleton)
 head = skeleton.joint_names.index("head")
 print(f"positions shape {pos.shape}; head trajectory spans "
       f"{pos[:, head].min(0).round(1)} .. {pos[:, head].max(0).round(1)} mm")
@@ -43,8 +43,7 @@ bones = np.linalg.norm(pos[:, child] - pos[:, skeleton.parent[child]], axis=-1)
 print("bone-length drift over time:", float(bones.std(axis=0).max()))
 
 # Mirror augmentation swaps left/right joints and negates x.
-mirrored = md.augment_mirror(seq)
-mpos = md.forward_kinematics(mirrored)
+mpos = md.fk_positions(md.mirror_rotations(seq.rotations, skeleton), skeleton)
 expect = pos[:, skeleton.mirror_pair] * np.array([-1.0, 1.0, 1.0])
 print("mirror = left/right swap with x negated:",
       float(np.abs(mpos - expect).max()), "mm max deviation")

@@ -18,17 +18,11 @@ from .motiondata import (
     JointMotionSpec,
     MotionSequence,
     Skeleton,
-    WindowedBatch,
-    augment_mirror,
-    augment_reverse,
     default_skeleton,
-    forward_kinematics,
     load_motion,
     save_motion,
-    shift_targets,
     synth_motion,
     two_frequency_spec,
-    window,
 )
 from .tensor import Tape, Tensor, backward, finite_diff_check
 from .training import TrainConfig, TrainResult, loss_per_joint_l2, noam_lr, train

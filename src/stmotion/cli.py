@@ -182,6 +182,8 @@ def cmd_eval(args) -> int:
     except ValueError:
         raise ConfigError(f"--horizons must be comma-separated milliseconds, "
                           f"got {args.horizons!r}") from None
+    if len(set(horizons)) < len(horizons):  # the report holds one row per horizon
+        raise ConfigError(f"--horizons {args.horizons} repeats a horizon")
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
     _check_joints(cfg, f"--checkpoint {args.checkpoint}", seq, f"--data {args.data}")
@@ -224,6 +226,9 @@ def cmd_rollout(args) -> int:
     _check_joints(cfg, f"--checkpoint {args.checkpoint}", seed_seq, f"--seed-file {args.seed_file}")
     seed = seed_seq.flat()
     steps = evalmetrics.span_frames("--seconds", args.seconds, seed_seq.frame_rate)
+    if seed_seq.n_frames > cfg.window:
+        raise ConfigError(f"--seed-file {args.seed_file} has {seed_seq.n_frames} frames, more "
+                          f"than the {cfg.window}-frame window of --checkpoint {args.checkpoint}")
     _check_budget(f"--seconds {args.seconds:g} ({steps} frames)",
                   4 * steps * cfg.n_joints * motiondata.JOINT_DIM)
     pred, maps = model.rollout(params, cfg, seed, steps,

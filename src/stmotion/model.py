@@ -75,6 +75,12 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.embed_dim // self.n_heads
 
+    @property
+    def ff_networks(self) -> tuple[str, ...]:
+        """Each block's feed-forward networks: one per stream (temporal, then
+        spatial) only for st with ff_per_branch, else one after the sum."""
+        return ("ff_t", "ff_s") if self.variant == "st" and self.ff_per_branch else ("ff",)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -168,8 +174,7 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
                 p[pre + "a." + w] = (h, d, f)
             p[pre + "a.wo"] = (h * f, d)
 
-        ff_names = ("ff_t", "ff_s") if (cfg.ff_per_branch and cfg.variant == "st") else ("ff",)
-        for name in ff_names:
+        for name in cfg.ff_networks:
             p[f"{pre}{name}.w1"] = (d, ff)
             p[f"{pre}{name}.b1"] = (ff,)
             p[f"{pre}{name}.w2"] = (ff, d)
@@ -319,9 +324,10 @@ def _aggregate(e_in: Tensor, summaries: list[Tensor], p: dict, pre: str, cfg: Mo
     """Sum the stream summaries, feed-forward, dropout, then post-norm with a
     residual from the block input. With ff_per_branch each summary passes its
     own feed-forward network before the sum (appendix-style reading)."""
-    if cfg.ff_per_branch and cfg.variant == "st" and len(summaries) == 2:
-        s = tz.add(_feed_forward(summaries[0], p, pre + "ff_t"),
-                   _feed_forward(summaries[1], p, pre + "ff_s"))
+    nets = cfg.ff_networks
+    if len(nets) == 2:
+        s = tz.add(_feed_forward(summaries[0], p, pre + nets[0]),
+                   _feed_forward(summaries[1], p, pre + nets[1]))
     else:
         s = summaries[0]
         for extra in summaries[1:]:
@@ -538,7 +544,7 @@ def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
     per_frame = 1 if cfg.variant == "vanilla_1d" else n  # tokens per frame
     tokens = b * t * per_frame
     streams = 2 if cfg.variant == "st" else 1
-    ff_nets = 2 if cfg.variant == "st" and cfg.ff_per_branch else 1
+    ff_nets = len(cfg.ff_networks)
 
     def layer(rows):  # (scores, workspace) of a block computing `rows` query frames
         if cfg.variant == "st":

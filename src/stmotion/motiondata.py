@@ -2,9 +2,10 @@
 
 A motion sequence stores local joint rotations as T x N x 3 x 3 float32
 matrices plus a skeleton (kinematic forest with bone offsets in millimeters
-and left/right mirror pairing). Also provides synthetic sinusoidal motion
-generation, sequence windowing, next-frame target shifting and the
-reverse / mirror augmentations.
+and left/right mirror pairing). Also provides forward kinematics on stacked
+rotations, the left/right mirror of a pose array (training's mirror
+augmentation), synthetic sinusoidal motion generation and the motion, skeleton
+and spec files. Training windows are cut by `training.sample_batch`.
 """
 
 from __future__ import annotations
@@ -110,19 +111,6 @@ class MotionSequence:
         """(T, N, 9) view of the rotations."""
         t, n = self.rotations.shape[:2]
         return self.rotations.reshape(t, n, JOINT_DIM)
-
-
-@dataclass
-class WindowedBatch:
-    """Model inputs and next-frame targets, flattened to B x T x N x 9."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-
-def forward_kinematics(seq: MotionSequence) -> np.ndarray:
-    """Global joint positions (T, N, 3) in millimeters, root at the origin."""
-    return fk_positions(seq.rotations, seq.skeleton)
 
 
 def fk_positions(rotations: np.ndarray, skeleton: Skeleton) -> np.ndarray:
@@ -235,47 +223,12 @@ def two_frequency_spec(skeleton: Skeleton) -> list[JointMotionSpec]:
     return out
 
 
-def window(seq: MotionSequence, length: int, stride: int) -> list[MotionSequence]:
-    """Overlapping windows; empty list when length exceeds the sequence."""
-    if length < 1 or stride < 1:
-        raise ValueError("length and stride must be positive")
-    t = seq.n_frames
-    if length > t:
-        return []
-    starts = range(0, t - length + 1, stride)
-    return [MotionSequence(seq.skeleton, seq.rotations[s:s + length], seq.frame_rate)
-            for s in starts]
-
-
-def augment_reverse(seq: MotionSequence) -> MotionSequence:
-    """Reverse the temporal order of frames."""
-    return MotionSequence(seq.skeleton, seq.rotations[::-1].copy(), seq.frame_rate)
-
-
 def mirror_rotations(rotations: np.ndarray, skeleton: Skeleton) -> np.ndarray:
     """Swap mirror-partner joints and conjugate by the sagittal reflection:
     R' = S R S with S = diag(-1, 1, 1)."""
     R = np.asarray(rotations)
     swapped = R[..., skeleton.mirror_pair, :, :]
     return (_SAGITTAL @ swapped @ _SAGITTAL).astype(R.dtype)
-
-
-def augment_mirror(seq: MotionSequence) -> MotionSequence:
-    return MotionSequence(
-        seq.skeleton, mirror_rotations(seq.rotations, seq.skeleton), seq.frame_rate)
-
-
-def shift_targets(windows: list[MotionSequence]) -> WindowedBatch:
-    """Inputs = frames [0, T-2], targets = frames [1, T-1], flattened."""
-    if not windows:
-        raise ValueError("need at least one window")
-    t = windows[0].n_frames
-    if t < 2:
-        raise ValueError("windows must have length >= 2 for target shifting")
-    if any(w.n_frames != t for w in windows):
-        raise ValueError("all windows must have equal length")
-    flat = np.stack([w.flat() for w in windows])
-    return WindowedBatch(inputs=flat[:, :-1].copy(), targets=flat[:, 1:].copy())
 
 
 # ---------------------------------------------------------------------------

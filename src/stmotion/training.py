@@ -18,7 +18,7 @@ import numpy as np
 from . import evalmetrics, tensor as tz
 from .errors import ConfigError, NumericError, check_fields
 from .model import ModelConfig, forward, rollout_batch
-from .motiondata import JOINT_DIM, MotionSequence, shift_targets, augment_mirror, augment_reverse
+from .motiondata import JOINT_DIM, MotionSequence, mirror_rotations
 from .tensor import Tape, Tensor, backward
 
 
@@ -132,29 +132,48 @@ def validation_metrics(params, cfg: ModelConfig, val_windows: np.ndarray,
             "val_positional": report["positional_mm"]}
 
 
-def _window_starts(seqs: list[MotionSequence], count: int, length: int,
-                   rng: np.random.Generator):
-    """Yield `count` (sequence, start) draws for windows of `length` frames:
-    a sequence with probability proportional to its number of such windows,
-    then a uniform start in it. Lazy, so a caller's own draws from `rng`
-    between windows keep their place in the stream."""
+def _cut_windows(seqs: list[MotionSequence], count: int, length: int,
+                 rng: np.random.Generator, reverse_prob: float = 0.0,
+                 mirror_prob: float = 0.0) -> np.ndarray:
+    """The one window cutter: `count` windows of `length` frames as a
+    (count, length, N, 9) float32 array. Per window it draws a sequence with
+    probability proportional to its number of such windows, a uniform start
+    in it, then (when the chance is positive) whether to reverse the window
+    in time and whether to mirror it, in that order."""
     lengths = np.array([max(s.n_frames - length + 1, 0) for s in seqs])
     if lengths.sum() == 0:
         raise ValueError(f"no sequence long enough for windows of {length} frames")
     probs = lengths / lengths.sum()
-    for _ in range(count):
+    out = np.empty((count, length, seqs[0].skeleton.n_joints, JOINT_DIM), dtype=np.float32)
+    for i in range(count):
         si = rng.choice(len(seqs), p=probs)
-        yield seqs[si], int(rng.integers(0, lengths[si]))
+        seq = seqs[si]
+        start = int(rng.integers(0, lengths[si]))
+        w = seq.rotations[start:start + length]
+        if reverse_prob > 0 and rng.random() < reverse_prob:
+            w = w[::-1]
+        if mirror_prob > 0 and rng.random() < mirror_prob:
+            w = mirror_rotations(w, seq.skeleton)
+        out[i] = w.reshape(out.shape[1:])
+    return out
 
 
 def make_eval_windows(seqs: list[MotionSequence], count: int, length: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Sample `count` flattened windows of `length` frames across sequences."""
-    picks = list(_window_starts(seqs, count, length, rng))
-    out = np.empty((count, length, seqs[0].skeleton.n_joints, JOINT_DIM), dtype=np.float32)
-    for i, (seq, start) in enumerate(picks):
-        out[i] = seq.flat()[start:start + length]
-    return out
+    return _cut_windows(seqs, count, length, rng)
+
+
+def sample_batch(seqs: list[MotionSequence], batch_size: int, length: int,
+                 rng: np.random.Generator, reverse_prob: float = 0.0,
+                 mirror_prob: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """A training batch of windows of `length` frames, each reversed and
+    mirrored by independent chances: (inputs, targets), frames [0, length-1)
+    and [1, length) of every window, each (batch_size, length - 1, N, 9)."""
+    if length < 2:
+        raise ValueError(f"windows must have length >= 2 for target shifting, got {length}")
+    w = _cut_windows(seqs, batch_size, length, rng, reverse_prob, mirror_prob)
+    return w[:, :-1], w[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +192,6 @@ class TrainResult:
 
 def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
-
-
-def sample_batch(seqs: list[MotionSequence], batch_size: int, length: int,
-                 rng: np.random.Generator, reverse_prob: float = 0.0,
-                 mirror_prob: float = 0.0):
-    """Uniform random window starts, with independent per-sample reverse and
-    mirror augmentation chances."""
-    picked = []
-    for seq, start in _window_starts(seqs, batch_size, length, rng):
-        w = MotionSequence(seq.skeleton, seq.rotations[start:start + length],
-                           seq.frame_rate)
-        if reverse_prob > 0 and rng.random() < reverse_prob:
-            w = augment_reverse(w)
-        if mirror_prob > 0 and rng.random() < mirror_prob:
-            w = augment_mirror(w)
-        picked.append(w)
-    return shift_targets(picked)
 
 
 def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
@@ -211,11 +213,11 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
     since_best = 0
     try:
         for step in range(1, tcfg.max_steps + 1):
-            batch = sample_batch(train_seqs, tcfg.batch_size, cfg.window + 1, rng,
-                                 tcfg.reverse_prob, tcfg.mirror_prob)
+            inputs, targets = sample_batch(train_seqs, tcfg.batch_size, cfg.window + 1, rng,
+                                           tcfg.reverse_prob, tcfg.mirror_prob)
             with Tape() as tape:
-                pred, _, _ = forward(params, cfg, batch.inputs, training=True, rng=rng)
-                loss = loss_per_joint_l2(pred, batch.targets)
+                pred, _, _ = forward(params, cfg, inputs, training=True, rng=rng)
+                loss = loss_per_joint_l2(pred, targets)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise NumericError(f"non-finite loss at step {step}")

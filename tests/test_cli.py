@@ -416,8 +416,10 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"checkpoint {ckpt}" in err[0] and "n_layers 1.5" in err[0]
 
-    # "1" and "100,8" round to zero frames at 60 fps
-    @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0", "1", "100,8"])
+    # "1" and "100,8" round to zero frames at 60 fps; the report holds one row
+    # per horizon, so a repeated one is refused
+    @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0", "1", "100,8",
+                                          "100,100", "100,400,100.0"])
     def test_bad_horizons_are_usage_errors(self, workdir, tmp_path, capsys, horizons):
         out = tmp_path / "m.csv"
         assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
@@ -513,14 +515,19 @@ class TestRollout:
         assert len(err) == 1 and "--seconds" in err[0] and named in err[0], err
         assert not out.exists()
 
-    def test_seed_longer_than_window(self, workdir, tmp_path):
+    def test_seed_longer_than_window(self, workdir, tmp_path, capsys):
         seed_file = tmp_path / "long.stm1"
         seq = motiondata.load_motion(workdir / "data.stm1")
         motiondata.save_motion(seed_file, motiondata.MotionSequence(
             seq.skeleton, seq.rotations[:50], seq.frame_rate))
-        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+        ckpt, out = workdir / "run" / "best.stt1", tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(ckpt),
                          "--seed-file", str(seed_file), "--seconds", "0.1",
-                         "--out", str(tmp_path / "p.stm1")]) == 2
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--seed-file {seed_file} has 50 frames" in err[0], err
+        assert f"8-frame window of --checkpoint {ckpt}" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header"])
     def test_damaged_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, damage):

@@ -219,7 +219,7 @@ class TestLongterm:
     def test_per_second_curves(self):
         sk = md.default_skeleton()
         seq = md.synth_motion(sk, 60 * 8, 60.0, md.two_frequency_spec(sk))
-        refs = [w.flat() for w in md.window(seq, 60, 60)][:4]
+        refs = [seq.flat()[s:s + 60] for s in range(0, 240, 60)]
         pred = seq.flat()[:60 * 3]
         seconds, klds, ents = ev.longterm_eval(pred, sk, refs, 60.0)
         assert seconds == [1, 2, 3]
@@ -231,7 +231,7 @@ class TestLongterm:
     def test_frozen_prediction_low_entropy_high_kld(self):
         sk = md.default_skeleton()
         seq = md.synth_motion(sk, 60 * 6, 60.0, md.two_frequency_spec(sk))
-        refs = [w.flat() for w in md.window(seq, 60, 60)][:4]
+        refs = [seq.flat()[s:s + 60] for s in range(0, 240, 60)]
         frozen = np.tile(seq.flat()[0][None], (120, 1, 1))
         _, klds_f, ents_f = ev.longterm_eval(frozen, sk, refs, 60.0)
         _, klds_m, ents_m = ev.longterm_eval(seq.flat()[:120], sk, refs, 60.0)

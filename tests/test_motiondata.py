@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stmotion import motiondata as md
 from stmotion import so3
 from stmotion import tensor as tz
+from stmotion import training as tr
 from stmotion.errors import ConfigError
 
 
@@ -49,7 +50,7 @@ class TestForwardKinematics:
         # with identity rotations every joint sits at the cumulative sum of
         # offsets along its chain
         sk = md.default_skeleton()
-        pos = md.forward_kinematics(identity_seq(3))
+        pos = md.fk_positions(identity_seq(3).rotations, sk)
         for j in range(sk.n_joints):
             expect = np.zeros(3)
             k = j
@@ -65,9 +66,8 @@ class TestForwardKinematics:
         Rz = so3.rotmat_from_angleaxis([0, 0, theta])
         rots = seq.rotations.copy()
         rots[0, 0] = Rz
-        spun = md.MotionSequence(seq.skeleton, rots, seq.frame_rate)
-        p0 = md.forward_kinematics(seq)[0]
-        p1 = md.forward_kinematics(spun)[0]
+        p0 = md.fk_positions(seq.rotations, seq.skeleton)[0]
+        p1 = md.fk_positions(rots, seq.skeleton)[0]
         np.testing.assert_allclose(p1, p0 @ np.asarray(Rz).T, atol=1e-4)
 
     def test_bone_lengths_invariant_under_rotation(self):
@@ -75,7 +75,7 @@ class TestForwardKinematics:
         rng = np.random.default_rng(0)
         rots = so3.random_rotations(5 * sk.n_joints, rng).reshape(
             5, sk.n_joints, 3, 3).astype(np.float32)
-        pos = md.forward_kinematics(md.MotionSequence(sk, rots, 60.0))
+        pos = md.fk_positions(rots, sk)
         for j in range(sk.n_joints):
             p = sk.parent[j]
             if p < 0:
@@ -91,9 +91,8 @@ class TestForwardKinematics:
         rng = np.random.default_rng(1)
         rots = so3.random_rotations(4 * sk.n_joints, rng).reshape(
             4, sk.n_joints, 3, 3).astype(np.float32)
-        seq = md.MotionSequence(sk, rots, 60.0)
-        pos = md.forward_kinematics(seq)
-        pos_m = md.forward_kinematics(md.augment_mirror(seq))
+        pos = md.fk_positions(rots, sk)
+        pos_m = md.fk_positions(md.mirror_rotations(rots, sk), sk)
         expect = pos[:, sk.mirror_pair] * [-1.0, 1.0, 1.0]
         np.testing.assert_allclose(pos_m, expect, atol=1e-3)
 
@@ -156,11 +155,8 @@ class TestSynthMotion:
 
 
 class TestWindowing:
-    def test_counts_and_contents(self):
-        seq = identity_seq(10)
-        ws = md.window(seq, length=4, stride=2)
-        assert len(ws) == 4  # starts 0, 2, 4, 6
-        assert all(w.n_frames == 4 for w in ws)
+    """Windows are cut by `training.sample_batch` and `make_eval_windows`;
+    over a source exactly one window long each has one start, frame 0."""
 
     def test_window_contents_match_source(self):
         sk = md.default_skeleton()
@@ -168,12 +164,9 @@ class TestWindowing:
         rots = so3.random_rotations(8 * sk.n_joints, rng).reshape(
             8, sk.n_joints, 3, 3).astype(np.float32)
         seq = md.MotionSequence(sk, rots, 60.0)
-        ws = md.window(seq, 3, 1)
-        for i, w in enumerate(ws):
-            np.testing.assert_array_equal(w.rotations, rots[i:i + 3])
-
-    def test_too_long_window_gives_empty(self):
-        assert md.window(identity_seq(5), 6, 1) == []
+        ws = tr.make_eval_windows([seq], 6, 3, np.random.default_rng(0))
+        for w in ws:
+            assert any(np.array_equal(w, seq.flat()[s:s + 3]) for s in range(6))
 
     def test_shift_targets(self):
         sk = md.default_skeleton()
@@ -181,46 +174,35 @@ class TestWindowing:
         rots = so3.random_rotations(6 * sk.n_joints, rng).reshape(
             6, sk.n_joints, 3, 3).astype(np.float32)
         seq = md.MotionSequence(sk, rots, 60.0)
-        batch = md.shift_targets([seq, seq])
-        assert batch.inputs.shape == (2, 5, sk.n_joints, 9)
-        np.testing.assert_array_equal(batch.inputs[0], seq.flat()[:-1])
-        np.testing.assert_array_equal(batch.targets[0], seq.flat()[1:])
+        inputs, targets = tr.sample_batch([seq], 2, 6, np.random.default_rng(0))
+        assert inputs.shape == (2, 5, sk.n_joints, 9)
+        np.testing.assert_array_equal(inputs[0], seq.flat()[:-1])
+        np.testing.assert_array_equal(targets[0], seq.flat()[1:])
         # target t equals input t+1
-        np.testing.assert_array_equal(batch.inputs[0, 1:], batch.targets[0, :-1])
+        np.testing.assert_array_equal(inputs[0, 1:], targets[0, :-1])
 
     def test_shift_targets_rejects_short(self):
-        with pytest.raises(ValueError):
-            md.shift_targets([identity_seq(1)])
+        with pytest.raises(ValueError, match="length >= 2"):
+            tr.sample_batch([identity_seq(1)], 1, 1, np.random.default_rng(0))
 
 
 class TestAugmentations:
-    def test_reverse_is_involution(self):
-        sk = md.default_skeleton()
-        rng = np.random.default_rng(5)
-        rots = so3.random_rotations(7 * sk.n_joints, rng).reshape(
-            7, sk.n_joints, 3, 3).astype(np.float32)
-        seq = md.MotionSequence(sk, rots, 60.0)
-        back = md.augment_reverse(md.augment_reverse(seq))
-        np.testing.assert_array_equal(back.rotations, seq.rotations)
-        np.testing.assert_array_equal(
-            md.augment_reverse(seq).rotations[0], seq.rotations[-1])
-
     def test_mirror_is_involution(self):
         sk = md.default_skeleton()
         rng = np.random.default_rng(6)
         rots = so3.random_rotations(4 * sk.n_joints, rng).reshape(
             4, sk.n_joints, 3, 3).astype(np.float32)
-        seq = md.MotionSequence(sk, rots, 60.0)
-        back = md.augment_mirror(md.augment_mirror(seq))
-        np.testing.assert_allclose(back.rotations, seq.rotations, atol=1e-6)
+        back = md.mirror_rotations(md.mirror_rotations(rots, sk), sk)
+        np.testing.assert_allclose(back, rots, atol=1e-6)
 
     def test_mirror_preserves_validity(self):
         sk = md.default_skeleton()
         rng = np.random.default_rng(7)
         rots = so3.random_rotations(3 * sk.n_joints, rng).reshape(
             3, sk.n_joints, 3, 3).astype(np.float32)
-        m = md.augment_mirror(md.MotionSequence(sk, rots, 60.0))
-        flat = m.rotations.reshape(-1, 3, 3).astype(np.float64)
+        m = md.mirror_rotations(rots, sk)
+        assert m.dtype == np.float32
+        flat = m.reshape(-1, 3, 3).astype(np.float64)
         assert np.all(so3.is_valid_rotmat(flat, tol=1e-4))
 
 
@@ -337,7 +319,7 @@ class TestSpecHandCases:
                          np.array([0, 1]))
         rots = np.broadcast_to(np.eye(3, dtype=np.float32), (1, 2, 3, 3)).copy()
         rots[0, 0] = so3.rotmat_from_angleaxis([0, 0, np.pi / 2])
-        pos = md.forward_kinematics(md.MotionSequence(sk, rots, 60.0))
+        pos = md.fk_positions(rots, sk)
         np.testing.assert_allclose(pos[0, 1], [-100.0, 0.0, 0.0], atol=1e-4)
 
     def test_synth_zero_amplitude_is_identity_pose(self):
@@ -358,27 +340,13 @@ class TestSpecHandCases:
 
     def test_window_full_length_single(self):
         seq = identity_seq(12)
-        ws = md.window(seq, 12, 1)
-        assert len(ws) == 1
-        np.testing.assert_array_equal(ws[0].rotations, seq.rotations)
-
-    def test_window_stride_arithmetic(self):
-        ws = md.window(identity_seq(10), 4, 3)
-        assert len(ws) == 3  # starts 0, 3, 6
-
-    def test_window_concat_reconstruction(self):
-        sk = md.default_skeleton()
-        rng = np.random.default_rng(20)
-        rots = so3.random_rotations(12 * sk.n_joints, rng).reshape(
-            12, sk.n_joints, 3, 3).astype(np.float32)
-        seq = md.MotionSequence(sk, rots, 60.0)
-        ws = md.window(seq, 4, 4)
-        rebuilt = np.concatenate([w.rotations for w in ws])
-        np.testing.assert_array_equal(rebuilt, rots[:len(rebuilt)])
+        ws = tr.make_eval_windows([seq], 1, 12, np.random.default_rng(0))
+        assert ws.shape == (1, 12, seq.skeleton.n_joints, 9)
+        np.testing.assert_array_equal(ws[0], seq.flat())
 
     def test_shift_targets_constant_sequence(self):
-        batch = md.shift_targets([identity_seq(5)])
-        np.testing.assert_array_equal(batch.inputs, batch.targets)
+        inputs, targets = tr.sample_batch([identity_seq(5)], 1, 5, np.random.default_rng(0))
+        np.testing.assert_array_equal(inputs, targets)
 
     def test_shift_targets_length_two(self):
         sk = md.default_skeleton()
@@ -386,10 +354,10 @@ class TestSpecHandCases:
         rots = so3.random_rotations(2 * sk.n_joints, rng).reshape(
             2, sk.n_joints, 3, 3).astype(np.float32)
         seq = md.MotionSequence(sk, rots, 60.0)
-        batch = md.shift_targets([seq])
-        assert batch.inputs.shape == (1, 1, sk.n_joints, 9)
-        np.testing.assert_array_equal(batch.inputs[0, 0], seq.flat()[0])
-        np.testing.assert_array_equal(batch.targets[0, 0], seq.flat()[1])
+        inputs, targets = tr.sample_batch([seq], 1, 2, np.random.default_rng(0))
+        assert inputs.shape == targets.shape == (1, 1, sk.n_joints, 9)
+        np.testing.assert_array_equal(inputs[0, 0], seq.flat()[0])
+        np.testing.assert_array_equal(targets[0, 0], seq.flat()[1])
 
     def test_reverse_frame_map(self):
         sk = md.default_skeleton()
@@ -397,14 +365,11 @@ class TestSpecHandCases:
         rots = so3.random_rotations(6 * sk.n_joints, rng).reshape(
             6, sk.n_joints, 3, 3).astype(np.float32)
         seq = md.MotionSequence(sk, rots, 60.0)
-        rev = md.augment_reverse(seq)
+        inputs, targets = tr.sample_batch([seq], 1, 6, np.random.default_rng(0),
+                                          reverse_prob=1.0)
+        rev = np.concatenate([inputs[0], targets[0, -1:]]).reshape(rots.shape)
         for t in range(6):
-            np.testing.assert_array_equal(rev.rotations[t], rots[5 - t])
-
-    def test_reverse_single_frame_unchanged(self):
-        seq = identity_seq(1)
-        np.testing.assert_array_equal(md.augment_reverse(seq).rotations,
-                                      seq.rotations)
+            np.testing.assert_array_equal(rev[t], rots[5 - t])
 
     def test_mirror_symmetric_pose_fixed_point(self):
         # pose where each joint already equals the sagittal conjugate of its
@@ -428,6 +393,4 @@ class TestSpecHandCases:
             rots[:, j] = R
             rots[:, m] = S @ R @ S
             done.update({j, int(m)})
-        seq = md.MotionSequence(sk, rots, 60.0)
-        np.testing.assert_allclose(md.augment_mirror(seq).rotations,
-                                   seq.rotations, atol=1e-6)
+        np.testing.assert_allclose(md.mirror_rotations(rots, sk), rots, atol=1e-6)

@@ -130,32 +130,32 @@ class TestAdam:
 class TestSampling:
     def test_shapes_and_target_shift(self):
         seqs = make_seqs()
-        batch = tr.sample_batch(seqs, 4, 9, np.random.default_rng(0))
-        assert batch.inputs.shape == (4, 8, 9, 9)
-        np.testing.assert_array_equal(batch.inputs[:, 1:], batch.targets[:, :-1])
+        inputs, targets = tr.sample_batch(seqs, 4, 9, np.random.default_rng(0))
+        assert inputs.shape == targets.shape == (4, 8, 9, 9)
+        np.testing.assert_array_equal(inputs[:, 1:], targets[:, :-1])
 
     def test_deterministic_given_rng(self):
         seqs = make_seqs()
         a = tr.sample_batch(seqs, 4, 9, np.random.default_rng(7))
         b = tr.sample_batch(seqs, 4, 9, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.inputs, b.inputs)
+        np.testing.assert_array_equal(a, b)
 
     def test_windows_come_from_source(self):
         seqs = make_seqs(n_frames=50)
         flat = seqs[0].flat()
-        batch = tr.sample_batch(seqs, 3, 5, np.random.default_rng(1))
+        inputs, _ = tr.sample_batch(seqs, 3, 5, np.random.default_rng(1))
         for i in range(3):
-            found = any(np.array_equal(batch.inputs[i], flat[s:s + 4])
+            found = any(np.array_equal(inputs[i], flat[s:s + 4])
                         for s in range(50 - 4))
             assert found
 
     def test_reverse_augmentation(self):
         seqs = make_seqs(n_frames=50)
         flat = seqs[0].flat()
-        batch = tr.sample_batch(seqs, 3, 5, np.random.default_rng(2),
-                                reverse_prob=1.0)
+        inputs, _ = tr.sample_batch(seqs, 3, 5, np.random.default_rng(2),
+                                    reverse_prob=1.0)
         for i in range(3):
-            fwd = batch.inputs[i][::-1]  # undo the reversal
+            fwd = inputs[i][::-1]  # undo the reversal
             found = any(np.array_equal(fwd, flat[s:s + 4]) for s in range(1, 50 - 3))
             assert found
 
@@ -163,10 +163,10 @@ class TestSampling:
         seqs = make_seqs(n_frames=50)
         sk = seqs[0].skeleton
         flat = seqs[0].flat()
-        batch = tr.sample_batch(seqs, 3, 5, np.random.default_rng(3),
-                                mirror_prob=1.0)
+        inputs, _ = tr.sample_batch(seqs, 3, 5, np.random.default_rng(3),
+                                    mirror_prob=1.0)
         for i in range(3):
-            rots = batch.inputs[i].reshape(4, sk.n_joints, 3, 3)
+            rots = inputs[i].reshape(4, sk.n_joints, 3, 3)
             undone = md.mirror_rotations(rots, sk).reshape(4, sk.n_joints, 9)
             found = any(np.allclose(undone, flat[s:s + 4], atol=1e-6)
                         for s in range(50 - 4))
@@ -190,21 +190,21 @@ class TestSampling:
                 si = rng.choice(len(seqs), p=lengths / lengths.sum())
                 start = int(rng.integers(0, lengths[si]))
                 picked.add(int(si))
-                w = md.MotionSequence(sk, seqs[si].rotations[start:start + length], 60.0)
+                w = seqs[si].rotations[start:start + length]
                 if augment and rng.random() < 0.5:
-                    w = md.augment_reverse(w)
+                    w = w[::-1]
                 if augment and rng.random() < 0.5:
-                    w = md.augment_mirror(w)
-                out.append(w.flat())
+                    w = md.mirror_rotations(w, sk)
+                out.append(w.reshape(length, sk.n_joints, 9))
             assert picked == {0, 1}
             return np.stack(out)
 
         got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        batch = tr.sample_batch(seqs, count, length, got_rng,
-                                reverse_prob=0.5, mirror_prob=0.5)
+        inputs, targets = tr.sample_batch(seqs, count, length, got_rng,
+                                          reverse_prob=0.5, mirror_prob=0.5)
         want = reference(ref_rng, augment=True)
-        np.testing.assert_array_equal(batch.inputs, want[:, :-1])
-        np.testing.assert_array_equal(batch.targets, want[:, 1:])
+        np.testing.assert_array_equal(inputs, want[:, :-1])
+        np.testing.assert_array_equal(targets, want[:, 1:])
         assert got_rng.random() == ref_rng.random()
 
         got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
