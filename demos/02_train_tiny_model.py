@@ -26,7 +26,7 @@ val_seqs = [md.synth_motion(skeleton, 3600, 60.0,
 cfg = mo.ModelConfig(n_joints=9, embed_dim=16, n_heads=2, n_layers=2,
                      ff_size=32, window=32, dropout=0.0)
 params = mo.init_params(cfg, np.random.default_rng(1))
-print(f"model: {mo.param_count(params)} parameters, variant={cfg.variant}")
+print(f"model: {mo.param_count(cfg)} parameters, variant={cfg.variant}")
 
 tcfg = tr.TrainConfig(batch_size=16, warmup=200, max_steps=600, eval_every=100,
                       seed=0, n_val_windows=8, mirror_prob=0.5)

@@ -8,6 +8,9 @@ decoupled model against the joint space-time (full 2D) variant.
 Run:  python3 demos/03_attention_and_complexity.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from stmotion import model as mo
@@ -57,12 +60,16 @@ for t in (16, 32, 64):
         row.append(mo.estimate_workspace_elements(cfg, batch=1))
     print(f"{row[0]:6d}  {row[1]:19d}  {row[2]:17d}")
 
-# Attention maps can be exported as CSV for plotting.
+# A rollout's attention maps, one AttentionMaps per step, can be exported as
+# CSV for plotting.
 cfg = mo.ModelConfig(n_joints=N, embed_dim=16, n_heads=2, n_layers=1,
                      ff_size=32, window=8, dropout=0.0)
-_, maps, _ = mo.forward(fresh(cfg), cfg, window[:8])
-import io
-buf = io.StringIO()
-mo.write_attention_csv(buf, [maps])
-print("\nfirst attention CSV rows:")
-print("\n".join(buf.getvalue().splitlines()[:5]))
+maps = []
+mo.rollout(fresh(cfg), cfg, window[:8], steps=2, maps_out=maps)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "attention.csv")
+    mo.write_attention_csv(path, maps)
+    with open(path) as fh:
+        rows = fh.read().splitlines()
+print(f"\nfirst attention CSV rows ({len(maps)} steps):")
+print("\n".join(rows[:5]))

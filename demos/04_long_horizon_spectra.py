@@ -35,7 +35,7 @@ print(f"trained to validation geodesic {result.best_val:.4f}")
 
 seed = val_seqs[0].flat()[:cfg.window]
 steps = 10 * 60                      # ten seconds at 60 fps
-pred, _ = mo.rollout(result.params, cfg, seed, steps)
+pred = mo.rollout(result.params, cfg, seed, steps)
 frozen = mo.zero_velocity(seed, steps)
 
 refs = list(tr.make_eval_windows(val_seqs, 60, 60, np.random.default_rng(3)))

@@ -47,6 +47,17 @@ def _budget_flag(args) -> int:
     return args.memory_budget
 
 
+def _seed_flag(value: str) -> int:
+    """The type of every --seed flag: a non-negative integer."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _check_joints(cfg, source: str, seq, data: str):
     """The joint rule of `train`, `eval` and `rollout`: the config file or checkpoint
     (`source`, its flag and path) and the motion file (`data`) have the same joint count."""
@@ -229,15 +240,20 @@ def cmd_rollout(args) -> int:
     if seed_seq.n_frames > cfg.window:
         raise ConfigError(f"--seed-file {args.seed_file} has {seed_seq.n_frames} frames, more "
                           f"than the {cfg.window}-frame window of --checkpoint {args.checkpoint}")
-    _check_budget(f"--seconds {args.seconds:g} ({steps} frames)",
-                  4 * steps * cfg.n_joints * motiondata.JOINT_DIM)
-    pred, maps = model.rollout(params, cfg, seed, steps,
-                               collect_attention=bool(args.dump_attention))
+    what = f"--seconds {args.seconds:g} ({steps} frames) with --checkpoint {args.checkpoint}"
+    nbytes = 4 * (steps * cfg.n_joints * motiondata.JOINT_DIM
+                  + model.estimate_workspace_elements(cfg, 1))
+    maps = [] if args.dump_attention else None  # every step's, held until the CSV is written
+    if args.dump_attention:
+        what += f" and --dump-attention {args.dump_attention}"
+        nbytes += 4 * steps * model.attention_map_elements(cfg, seed_seq.n_frames)
+    _check_budget(what, nbytes)
+    pred = model.rollout(params, cfg, seed, steps, maps)
     out_seq = motiondata.MotionSequence(
         seed_seq.skeleton, pred.reshape(steps, -1, 3, 3), seed_seq.frame_rate)
     motiondata.save_motion(args.out, out_seq)
     if args.dump_attention:
-        model.write_attention_csv(args.dump_attention, maps, with_step=True)
+        model.write_attention_csv(args.dump_attention, maps)
     print(f"wrote {steps} predicted frames to {args.out}")
     return EXIT_OK
 
@@ -322,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--spec", help="per-joint sinusoid spec JSON")
     s.add_argument("--noise-std", type=float, dest="noise_std",
                    help="angle noise std; overrides the spec file's noise_std (default 0)")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed_flag, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 
@@ -334,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tau", choices=("softmax", "sum"))
     t.add_argument("--sharing", choices=model.SHARING_MODES, dest="spatial_sharing")
     t.add_argument("--steps", type=int)
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=_seed_flag)
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--warmup", type=int)
     t.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
@@ -347,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--horizons", default=DEFAULT_HORIZONS_MS,
                    help="comma-separated milliseconds")
     e.add_argument("--n-windows", type=int, default=16, dest="n_windows")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed_flag, default=0)
     e.add_argument("--self-check", action="store_true", dest="self_check",
                    help="score targets against themselves (all metrics 0)")
     e.add_argument("--out", required=True)
@@ -370,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--embed-dim", type=int, default=16, dest="embed_dim")
     b.add_argument("--heads", type=int, default=2)
     b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed_flag, default=0)
     b.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
                    dest="memory_budget", help="memory budget in MiB")
     b.add_argument("--out", required=True)

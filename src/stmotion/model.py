@@ -18,7 +18,6 @@ tokens with causal masking on the time axis only.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -125,9 +124,11 @@ class ForwardStats:
     workspace_elements: int = 0
 
 
+@functools.lru_cache(maxsize=8)
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     """Standard sinusoidal encoding: PE[t, 2k] = sin(t / 10000^(2k/D)),
-    PE[t, 2k+1] = cos(t / 10000^(2k/D))."""
+    PE[t, 2k+1] = cos(t / 10000^(2k/D)). Built once per (T, D, dtype) and
+    returned read-only."""
     if dim % 2 != 0:
         raise ConfigError("positional encoding dimension must be even")
     t = np.arange(length, dtype=np.float64)[:, None]
@@ -136,13 +137,7 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     pe = np.empty((length, dim))
     pe[:, 0::2] = np.sin(t * inv)
     pe[:, 1::2] = np.cos(t * inv)
-    return pe.astype(dtype)
-
-
-@functools.lru_cache(maxsize=8)
-def _positional_encoding(length: int, dim: int, dtype) -> np.ndarray:
-    """Read-only `positional_encoding`, built once per (T, D, dtype)."""
-    pe = positional_encoding(length, dim, dtype)
+    pe = pe.astype(dtype)
     pe.flags.writeable = False
     return pe
 
@@ -204,25 +199,22 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
     return p
 
 
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(t.data.size for t in params.values())
-
-
-def _config_param_count(cfg: ModelConfig) -> int:
+def param_count(cfg: ModelConfig) -> int:
+    """Trainable values of a model with this config."""
     return sum(math.prod(shape) for shape in _param_shapes(cfg).values())
 
 
 def matched_vanilla_config(cfg: ModelConfig) -> ModelConfig:
     """A vanilla_1d config whose parameter count best matches the given ST
     config (embedding width chosen from multiples of n_heads)."""
-    target = _config_param_count(cfg)
+    target = param_count(cfg)
     best = None
     for d in range(cfg.n_heads, 16 * cfg.embed_dim + 1, cfg.n_heads):
         cand = ModelConfig(
             n_joints=cfg.n_joints, embed_dim=d, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
             ff_size=2 * d, window=cfg.window, dropout=cfg.dropout, tau_mode=cfg.tau_mode,
             variant="vanilla_1d")
-        count = _config_param_count(cand)
+        count = param_count(cand)
         diff = abs(count - target)
         if best is None or diff < best[0]:
             best = (diff, cand)
@@ -393,7 +385,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     tq = _last_block_frames(t) if last_only and cfg.variant == "st" else t
 
     # joint embeddings + positional encoding + dropout
-    pe = _positional_encoding(t, d, dtype)
+    pe = positional_encoding(t, d, dtype)
     if cfg.variant == "vanilla_1d":
         flat = tz.reshape(xt, (b, t, n * m))
         e = tz.add(tz.matmul(flat, params["embed.w"]), params["embed.b"])  # (B, T, D)
@@ -457,16 +449,12 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
-            collect_attention: bool = False):
+            maps_out: list | None = None) -> np.ndarray:
     """`rollout_batch` on a single seed window.
 
     seed: (T_seed, N, M) flattened rotations, T_seed <= cfg.window.
-    Returns (predictions (steps, N, M), list of per-step AttentionMaps, empty
-    unless `collect_attention`)."""
-    maps = []
-    pred = rollout_batch(params, cfg, np.asarray(seed)[None], steps,
-                         maps if collect_attention else None)
-    return pred[0], maps
+    Returns predictions (steps, N, M); `maps_out` as in `rollout_batch`."""
+    return rollout_batch(params, cfg, np.asarray(seed)[None], steps, maps_out)[0]
 
 
 def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray,
@@ -508,32 +496,24 @@ def zero_velocity(seed: np.ndarray, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def attention_rows(maps: AttentionMaps, step: int | None = None):
+def attention_rows(maps: AttentionMaps, step: int):
     """Yield the CSV lines of one (layer, head, kind, row) at a time, one line
-    `layer,head,kind,row,col,weight` per column, with an optional leading
-    step index."""
-    lead = "" if step is None else f"{step},"
+    `step,layer,head,kind,row,col,weight` per column."""
     for kind, layers in (("temporal", maps.temporal), ("spatial", maps.spatial)):
         for layer, w in enumerate(layers):
             for i, head in enumerate(w.tolist()):
                 for a, row in enumerate(head):
-                    prefix = f"{lead}{layer},{i},{kind},{a},"
+                    prefix = f"{step},{layer},{i},{kind},{a},"
                     yield "".join(f"{prefix}{col},{v}\n" for col, v in enumerate(row))
 
 
-def write_attention_csv(path_or_fh, maps_list, with_step: bool = False):
-    """CSV export of attention weights; `maps_list` is one AttentionMaps or a
-    list of them (one per rollout step)."""
-    if isinstance(maps_list, AttentionMaps):
-        maps_list = [maps_list]
-    own = isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
-    with tz.atomic_write(path_or_fh) if own else contextlib.nullcontext(path_or_fh) as fh:
-        header = "layer,head,kind,row,col,weight\n"
-        if with_step:
-            header = "step," + header
-        fh.write(header)
+def write_attention_csv(path, maps_list: list[AttentionMaps]):
+    """Atomically write the CSV of attention weights, one AttentionMaps per
+    rollout step (`rollout`'s `maps_out`)."""
+    with tz.atomic_write(path) as fh:
+        fh.write("step,layer,head,kind,row,col,weight\n")
         for step, maps in enumerate(maps_list):
-            fh.writelines(attention_rows(maps, step if with_step else None))
+            fh.writelines(attention_rows(maps, step))
 
 
 def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
@@ -569,6 +549,13 @@ def estimate_workspace_elements(cfg: ModelConfig, batch: int) -> int:
     length, as `forward` reports them in ForwardStats. Used for memory
     budgeting."""
     return _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
+
+
+def attention_map_elements(cfg: ModelConfig, t: int) -> int:
+    """Elements of the AttentionMaps of one full forward pass over T frames:
+    per layer, (H, T, T) temporal and, but for vanilla_1d, (H, N, N) spatial."""
+    spatial = 0 if cfg.variant == "vanilla_1d" else cfg.n_joints ** 2
+    return cfg.n_layers * cfg.n_heads * (t * t + spatial)
 
 
 # ---------------------------------------------------------------------------

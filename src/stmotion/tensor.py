@@ -29,8 +29,6 @@ __all__ = [
     "backward",
     "finite_diff_check",
     "atomic_write",
-    "save_tensors",
-    "load_tensors",
     "save_record",
     "load_record",
     "matmul",
@@ -549,63 +547,53 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def save_tensors(fh, named: dict[str, np.ndarray]):
-    """Write named float32 arrays: magic, then per tensor
-    name_len + name + rank + dims (u32 LE) + raw f32 LE values."""
-    fh.write(_MAGIC)
-    for name, arr in named.items():
-        arr = np.asarray(arr, dtype="<f4", order="C")  # keeps rank 0
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.reshape(-1).view(np.uint8))
-
-
-def load_tensors(fh) -> dict[str, np.ndarray]:
-    """Read what `save_tensors` wrote, from fh's position to its end, each
-    length checked against the bytes left before it is read; a malformed or
-    truncated file is a ConfigError naming the file and the field."""
-    src = getattr(fh, "name", "tensor file")
-    here = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-
-    def claim(n: int, what: str) -> int:
-        nonlocal left
-        if n > left:
-            raise ConfigError(f"{src}: {what}: needs {n} bytes, the file has {left} left")
-        left -= n
-        return n
-
-    if left < 4 or fh.read(4) != _MAGIC:
-        raise ConfigError(f"{src}: not an STT1 tensor file")
-    left -= 4
-    out: dict[str, np.ndarray] = {}
-    while left:
-        where = f"tensor record {len(out)}"
-        (name_len,) = struct.unpack("<I", fh.read(claim(4, where + " name length")))
-        name = fh.read(claim(name_len, where + " name")).decode("utf-8", "replace")
-        where = f"tensor {name!r}"
-        (rank,) = struct.unpack("<I", fh.read(claim(4, where + " rank")))
-        dims = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, where + " dims")))
-        claim(4 * math.prod(dims), where + " values")
-        out[name] = np.empty(dims, dtype="<f4")
-        fh.readinto(out[name].reshape(-1).view(np.uint8))
-    return out
-
-
 def save_record(path, header: str, tensors: dict[str, np.ndarray]):
     """Atomically write `header`, one line of JSON text, then `tensors` as an
-    STT1 block."""
+    STT1 block: magic, then per tensor name_len + name + rank + dims (u32 LE)
+    + raw f32 LE values."""
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        save_tensors(fh, tensors)
+        fh.write(_MAGIC)
+        for name, arr in tensors.items():
+            arr = np.asarray(arr, dtype="<f4", order="C")  # keeps rank 0
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_record(path) -> tuple[bytes, dict[str, np.ndarray]]:
     """Read what `save_record` wrote: the header line, for the caller to
-    parse and check, and the tensors."""
+    parse and check, and the tensors, each length checked against the bytes
+    left before it is read; a malformed or truncated file is a ConfigError
+    naming the file and the field."""
     with open(path, "rb") as fh:
-        return fh.readline(), load_tensors(fh)
+        header = fh.readline()
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+
+        def claim(n: int, what: str) -> int:
+            nonlocal left
+            if n > left:
+                raise ConfigError(f"{fh.name}: {what}: needs {n} bytes, the file has {left} left")
+            left -= n
+            return n
+
+        if left < 4 or fh.read(4) != _MAGIC:
+            raise ConfigError(f"{fh.name}: not an STT1 tensor file")
+        left -= 4
+        out: dict[str, np.ndarray] = {}
+        while left:
+            where = f"tensor record {len(out)}"
+            (name_len,) = struct.unpack("<I", fh.read(claim(4, where + " name length")))
+            name = fh.read(claim(name_len, where + " name")).decode("utf-8", "replace")
+            where = f"tensor {name!r}"
+            (rank,) = struct.unpack("<I", fh.read(claim(4, where + " rank")))
+            dims = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, where + " dims")))
+            claim(4 * math.prod(dims), where + " values")
+            out[name] = np.empty(dims, dtype="<f4")
+            fh.readinto(out[name].reshape(-1).view(np.uint8))
+    return header, out

@@ -259,7 +259,7 @@ def test_criterion_5_residual_identity():
     sk = md.default_skeleton()
     seq = md.synth_motion(sk, 32, FPS, md.two_frequency_spec(sk))
     seed = seq.flat()
-    pred, _ = mo.rollout(params, cfg, seed, 100)
+    pred = mo.rollout(params, cfg, seed, 100)
     base = mo.zero_velocity(seed, 100)
     check(5, "zero-initialized output projection reproduces the "
              "zero-velocity rollout bit-exactly",
@@ -388,7 +388,7 @@ def test_criterion_10_long_horizon(dataset, desk_runs):
     flat = val_seqs[0].flat()
     seed = flat[:DESK_CFG.window]
     steps = int(20 * FPS)
-    pred, _ = mo.rollout(res.params, DESK_CFG, seed, steps)
+    pred = mo.rollout(res.params, DESK_CFG, seed, steps)
     base = mo.zero_velocity(seed, steps)
     refs = list(tr.make_eval_windows(val_seqs, 120, int(FPS),
                                      np.random.default_rng(77)))
@@ -455,7 +455,7 @@ def test_criterion_12_determinism(dataset, tmp_path):
         ckpt = tmp_path / f"{run}.stt1"
         mo.save_checkpoint(ckpt, cfg, res.params)
         seed = val_seqs[0].flat()[:32]
-        pred, _ = mo.rollout(res.params, cfg, seed, 60)
+        pred = mo.rollout(res.params, cfg, seed, 60)
         outputs.append((hist.read_text(), ckpt.read_bytes(), pred))
     same = (outputs[0][0] == outputs[1][0]
             and outputs[0][1] == outputs[1][1]

@@ -529,6 +529,34 @@ class TestRollout:
         assert f"8-frame window of --checkpoint {ckpt}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant, window, seed_frames, seconds, dump, named", [
+        ("st", 120, 120, "60", True, "--dump-attention"),
+        ("full_2d", 400, 8, "0.05", False, "--checkpoint"),
+    ], ids=["attention_maps", "forward_workspace"])
+    def test_budget_counts_what_the_rollout_holds(self, workdir, tmp_path, capsys, monkeypatch,
+                                                  variant, window, seed_frames, seconds, dump,
+                                                  named):
+        # st, W=120, L=8, H=8: 3600 steps of maps hold ~12.4 GiB; full_2d at
+        # W=400 needs a ~3.3 GB forward workspace; the frames alone are < 2 MiB
+        def roll(*args, **kwargs):
+            raise AssertionError("the budget must hold before the rollout starts")
+
+        monkeypatch.setattr(model, "rollout", roll)
+        cfg = model.ModelConfig(embed_dim=16, n_layers=8, n_heads=8, ff_size=16,
+                                window=window, dropout=0.0, variant=variant)
+        ckpt, seed_file = tmp_path / "big.stt1", tmp_path / "seed.stm1"
+        model.save_checkpoint(ckpt, cfg, model.init_params(cfg, np.random.default_rng(0)))
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:seed_frames], seq.frame_rate))
+        out, att = tmp_path / "p.stm1", tmp_path / "att.csv"
+        assert cli.main(["rollout", "--checkpoint", str(ckpt), "--seed-file", str(seed_file),
+                         "--seconds", seconds, "--out", str(out)]
+                        + (["--dump-attention", str(att)] if dump else [])) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
+        assert not out.exists() and not att.exists()
+
     @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header"])
     def test_damaged_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, damage):
         blob = (workdir / "run" / "best.stt1").read_bytes()
@@ -672,6 +700,19 @@ class TestMemoryBudget:
 class TestParsing:
     def test_unknown_subcommand(self):
         assert cli.main(["dance"]) == 2
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "bench"])
+    def test_negative_seed_names_the_flag(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"synth": ["--frames", "10", "--out", str(out)],
+                "train": ["--data", str(workdir / "data.stm1"), "--out-dir", str(out)],
+                "eval": ["--data", str(workdir / "data.stm1"), "--out", str(out),
+                         "--checkpoint", str(workdir / "run" / "best.stt1")],
+                "bench": ["--variant", "st", "--out", str(out)]}[command]
+        assert cli.main([command, *argv, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative integer, got '-1'" in err, err
+        assert not out.exists()
 
     def test_coerce_types(self):
         assert cli._coerce("true") is True
