@@ -61,15 +61,15 @@ for t in (16, 32, 64):
     print(f"{row[0]:6d}  {row[1]:19d}  {row[2]:17d}")
 
 # A rollout's attention maps, one AttentionMaps per step, can be exported as
-# CSV for plotting.
+# CSV for plotting; each step's rows are written as the step ends.
 cfg = mo.ModelConfig(n_joints=N, embed_dim=16, n_heads=2, n_layers=1,
                      ff_size=32, window=8, dropout=0.0)
-maps = []
-mo.rollout(fresh(cfg), cfg, window[:8], steps=2, maps_out=maps)
+STEPS = 2
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "attention.csv")
-    mo.write_attention_csv(path, maps)
+    with mo.write_attention_csv(path) as maps:
+        mo.rollout(fresh(cfg), cfg, window[:8], steps=STEPS, maps_out=maps)
     with open(path) as fh:
         rows = fh.read().splitlines()
-print(f"\nfirst attention CSV rows ({len(maps)} steps):")
+print(f"\nfirst attention CSV rows ({STEPS} steps):")
 print("\n".join(rows[:5]))

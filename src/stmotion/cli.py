@@ -7,6 +7,7 @@ command is deterministic given identical flags, inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -40,22 +41,28 @@ def _check_budget(what: str, nbytes: int, budget_mib: int = DEFAULT_MEMORY_BUDGE
                           f"{budget_mib} MiB budget")
 
 
-def _budget_flag(args) -> int:
-    """The --memory-budget flag in MiB, checked before a command does any work."""
-    if args.memory_budget < 1:
-        raise ConfigError(f"--memory-budget must be >= 1 MiB, got {args.memory_budget}")
-    return args.memory_budget
+def _at_least(low: int):
+    """The argparse type of every integer flag: an integer >= low."""
+    want = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+
+    def flag(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = None
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value!r}")
+        return n
+
+    return flag
 
 
-def _seed_flag(value: str) -> int:
-    """The type of every --seed flag: a non-negative integer."""
-    try:
-        seed = int(value)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return seed
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, like every other usage error, reach
+    `main`'s handler as a ConfigError: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _check_joints(cfg, source: str, seq, data: str):
@@ -116,8 +123,6 @@ def _build_configs(args, n_joints: int):
 
 
 def cmd_synth(args) -> int:
-    if args.frames < 1:
-        raise ConfigError("--frames must be >= 1")
     if not 0 < args.fps < math.inf:
         raise ConfigError(f"--fps must be a positive finite rate, got {args.fps:g}")
     if args.noise_std is not None and not 0 <= args.noise_std < math.inf:
@@ -145,7 +150,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    budget = _budget_flag(args)
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
     _check_joints(cfg, f"--config {args.config}", seq, f"--data {args.data}")
@@ -155,7 +159,7 @@ def cmd_train(args) -> int:
     _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}", 4 * (
         model.estimate_workspace_elements(cfg, tcfg.batch_size)
         + n_val * (cfg.window + horizon) * cfg.n_joints * motiondata.JOINT_DIM
-        + model.estimate_workspace_elements(cfg, n_val)), budget)
+        + model.estimate_workspace_elements(cfg, n_val)), args.memory_budget)
 
     # deterministic train/validation split along time
     split = int(seq.n_frames * 0.9)
@@ -186,8 +190,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.n_windows < 1:
-        raise ConfigError(f"--n-windows must be >= 1, got {args.n_windows}")
     try:
         horizons = [float(h) for h in args.horizons.split(",")]
     except ValueError:
@@ -232,6 +234,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if args.dump_attention and (os.path.realpath(args.dump_attention)
+                                == os.path.realpath(args.out)):
+        raise ConfigError(f"--dump-attention {args.dump_attention} and --out {args.out} "
+                          f"name the same file")
     cfg, params = model.load_checkpoint(args.checkpoint)
     seed_seq = motiondata.load_motion(args.seed_file)
     _check_joints(cfg, f"--checkpoint {args.checkpoint}", seed_seq, f"--seed-file {args.seed_file}")
@@ -241,19 +247,15 @@ def cmd_rollout(args) -> int:
         raise ConfigError(f"--seed-file {args.seed_file} has {seed_seq.n_frames} frames, more "
                           f"than the {cfg.window}-frame window of --checkpoint {args.checkpoint}")
     what = f"--seconds {args.seconds:g} ({steps} frames) with --checkpoint {args.checkpoint}"
-    nbytes = 4 * (steps * cfg.n_joints * motiondata.JOINT_DIM
-                  + model.estimate_workspace_elements(cfg, 1))
-    maps = [] if args.dump_attention else None  # every step's, held until the CSV is written
-    if args.dump_attention:
-        what += f" and --dump-attention {args.dump_attention}"
-        nbytes += 4 * steps * model.attention_map_elements(cfg, seed_seq.n_frames)
-    _check_budget(what, nbytes)
-    pred = model.rollout(params, cfg, seed, steps, maps)
-    out_seq = motiondata.MotionSequence(
-        seed_seq.skeleton, pred.reshape(steps, -1, 3, 3), seed_seq.frame_rate)
-    motiondata.save_motion(args.out, out_seq)
-    if args.dump_attention:
-        model.write_attention_csv(args.dump_attention, maps)
+    _check_budget(what, 4 * (steps * cfg.n_joints * motiondata.JOINT_DIM
+                             + model.estimate_workspace_elements(cfg, 1)))
+    # each step's maps go to the CSV as the step ends; a failure leaves neither file
+    with (model.write_attention_csv(args.dump_attention) if args.dump_attention
+          else contextlib.nullcontext()) as maps:
+        pred = model.rollout(params, cfg, seed, steps, maps)
+        out_seq = motiondata.MotionSequence(
+            seed_seq.skeleton, pred.reshape(steps, -1, 3, 3), seed_seq.frame_rate)
+        motiondata.save_motion(args.out, out_seq)
     print(f"wrote {steps} predicted frames to {args.out}")
     return EXIT_OK
 
@@ -268,7 +270,6 @@ def _minor_faults():
 
 
 def cmd_bench(args) -> int:
-    budget = _budget_flag(args)
     triples = []
     for part in args.grid.split(";"):
         try:
@@ -278,8 +279,6 @@ def cmd_bench(args) -> int:
         if len(vals) != 3 or min(vals) < 1:
             raise ConfigError(f"--grid entry {part!r} must be three integers L,W,B >= 1")
         triples.append(vals)
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     rng = np.random.default_rng(args.seed)
 
     rows = []
@@ -290,7 +289,7 @@ def cmd_bench(args) -> int:
                                 variant=args.variant)
         try:
             _check_budget("--grid", 4 * model.estimate_workspace_elements(cfg, batch),
-                          budget)
+                          args.memory_budget)
         except ConfigError:  # over the budget: an OOM row
             rows.append((layers, win, batch, "OOM", "", "", "", ""))
             continue
@@ -326,19 +325,18 @@ def cmd_bench(args) -> int:
 
 @functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="st-motion",
-                                description="Spatio-temporal motion prediction toolkit")
+    p = _Parser(prog="st-motion", description="Spatio-temporal motion prediction toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate synthetic periodic motion")
     s.add_argument("--skeleton", default="default",
                    help="'default' or path to a skeleton JSON file")
-    s.add_argument("--frames", type=int, required=True)
+    s.add_argument("--frames", type=_at_least(1), required=True)
     s.add_argument("--fps", type=float, default=60.0)
     s.add_argument("--spec", help="per-joint sinusoid spec JSON")
     s.add_argument("--noise-std", type=float, dest="noise_std",
                    help="angle noise std; overrides the spec file's noise_std (default 0)")
-    s.add_argument("--seed", type=_seed_flag, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 
@@ -349,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", choices=model.VARIANTS)
     t.add_argument("--tau", choices=("softmax", "sum"))
     t.add_argument("--sharing", choices=model.SHARING_MODES, dest="spatial_sharing")
-    t.add_argument("--steps", type=int)
-    t.add_argument("--seed", type=_seed_flag)
-    t.add_argument("--batch-size", type=int, dest="batch_size")
-    t.add_argument("--warmup", type=int)
-    t.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
+    t.add_argument("--steps", type=_at_least(1))
+    t.add_argument("--seed", type=_at_least(0))
+    t.add_argument("--batch-size", type=_at_least(1), dest="batch_size")
+    t.add_argument("--warmup", type=_at_least(1))
+    t.add_argument("--memory-budget", type=_at_least(1), default=DEFAULT_MEMORY_BUDGET_MIB,
                    dest="memory_budget", help="memory budget in MiB")
     t.set_defaults(func=cmd_train)
 
@@ -362,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--horizons", default=DEFAULT_HORIZONS_MS,
                    help="comma-separated milliseconds")
-    e.add_argument("--n-windows", type=int, default=16, dest="n_windows")
-    e.add_argument("--seed", type=_seed_flag, default=0)
+    e.add_argument("--n-windows", type=_at_least(1), default=16, dest="n_windows")
+    e.add_argument("--seed", type=_at_least(0), default=0)
     e.add_argument("--self-check", action="store_true", dest="self_check",
                    help="score targets against themselves (all metrics 0)")
     e.add_argument("--out", required=True)
@@ -382,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--variant", choices=("st", "full_2d"), required=True)
     b.add_argument("--grid", default=DEFAULT_BENCH_GRID,
                    help='semicolon-separated "L,W,B" triples')
-    b.add_argument("--n-joints", type=int, default=9, dest="n_joints")
-    b.add_argument("--embed-dim", type=int, default=16, dest="embed_dim")
-    b.add_argument("--heads", type=int, default=2)
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--seed", type=_seed_flag, default=0)
-    b.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET_MIB,
+    b.add_argument("--n-joints", type=_at_least(1), default=9, dest="n_joints")
+    b.add_argument("--embed-dim", type=_at_least(1), default=16, dest="embed_dim")
+    b.add_argument("--heads", type=_at_least(1), default=2)
+    b.add_argument("--repeats", type=_at_least(1), default=3)
+    b.add_argument("--seed", type=_at_least(0), default=0)
+    b.add_argument("--memory-budget", type=_at_least(1), default=DEFAULT_MEMORY_BUDGET_MIB,
                    dest="memory_budget", help="memory budget in MiB")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
@@ -395,12 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NumericError, DegenerateRotationError) as err:  # the latter is a ValueError
         print(f"error: {err}", file=sys.stderr)

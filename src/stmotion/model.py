@@ -18,6 +18,7 @@ tokens with causal masking on the time axis only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -312,10 +313,11 @@ def _feed_forward(x: Tensor, p: dict, name: str) -> Tensor:
 
 
 def _aggregate(e_in: Tensor, summaries: list[Tensor], p: dict, pre: str, cfg: ModelConfig,
-               training: bool, rng) -> Tensor:
-    """Sum the stream summaries, feed-forward, dropout, then post-norm with a
-    residual from the block input. With ff_per_branch each summary passes its
-    own feed-forward network before the sum (appendix-style reading)."""
+               rng) -> Tensor:
+    """Sum the stream summaries, feed-forward, dropout (with an rng), then
+    post-norm with a residual from the block input. With ff_per_branch each
+    summary passes its own feed-forward network before the sum
+    (appendix-style reading)."""
     nets = cfg.ff_networks
     if len(nets) == 2:
         s = tz.add(_feed_forward(summaries[0], p, pre + nets[0]),
@@ -325,7 +327,7 @@ def _aggregate(e_in: Tensor, summaries: list[Tensor], p: dict, pre: str, cfg: Mo
         for extra in summaries[1:]:
             s = tz.add(s, extra)
         s = _feed_forward(s, p, pre + "ff")
-    s = tz.dropout(s, cfg.dropout, training, rng)
+    s = tz.dropout(s, cfg.dropout, rng)
     return tz.layer_norm(tz.add(e_in, s), p[pre + "ln.g"], p[pre + "ln.b"])
 
 
@@ -343,14 +345,14 @@ def _last_block_frames(t: int) -> int:
 
 
 def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
-            training: bool = False, rng: np.random.Generator | None = None,
-            last_only: bool = False):
+            rng: np.random.Generator | None = None, last_only: bool = False):
     """Predict the next pose for every position of the input window.
 
     window: (B, T, N, M) or (T, N, M) flattened rotations, T <= cfg.window.
     Returns (predictions Tensor of the same shape, AttentionMaps, ForwardStats).
     Position t of the output is the model's estimate of frame t+1 (input pose
-    plus a learned delta).
+    plus a learned delta). A pass given an rng is a training pass: it applies
+    dropout, drawing its masks from the rng; without one it applies none.
 
     last_only: an inference pass for autoregressive rollouts, which read only
     the last position. The predictions are that frame's alone, (B, 1, N, M)
@@ -359,8 +361,8 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     over all T frames and everything else on its last few frames only
     (see `_last_block_frames`); the result equals the full pass's bit for
     bit, and ForwardStats counts what was computed. The other variants run
-    the full pass. Raises ConfigError with `training`: the sliced tensors
-    carry no gradient.
+    the full pass. Raises ConfigError with an rng: the sliced tensors carry
+    no gradient.
     """
     x = np.asarray(window)
     squeeze = x.ndim == 3
@@ -372,9 +374,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
                           f"{(cfg.n_joints, JOINT_DIM)}")
     if t > cfg.window:
         raise ConfigError(f"window length {t} exceeds configured maximum {cfg.window}")
-    if training and cfg.dropout > 0 and rng is None:
-        raise ConfigError("training-mode forward requires an rng for dropout")
-    if training and last_only:
+    if rng is not None and last_only:
         raise ConfigError("last_only is an inference pass; it cannot train")
 
     dtype = params["embed.w"].data.dtype
@@ -395,7 +395,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         e = tz.transpose(tz.joint_linear(xj, params["embed.w"]), (1, 2, 0, 3))
         e = tz.add(e, params["embed.b"])
         e = tz.add(e, Tensor(pe[:, None, :]))
-    e = tz.dropout(e, cfg.dropout, training, rng)
+    e = tz.dropout(e, cfg.dropout, rng)
 
     for l in range(cfg.n_layers):
         pre = f"l{l}."
@@ -410,12 +410,12 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
                 # (N, H, B, T, T) -> (H, T, T), averaged over joints and batch
                 maps.temporal.append(t_w.mean(axis=(0, 2)))
                 maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
-            e = _aggregate(eq, [t_out, s_out], params, pre, cfg, training, rng)
+            e = _aggregate(eq, [t_out, s_out], params, pre, cfg, rng)
         elif cfg.variant == "vanilla_1d":
             a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1))
             if not last_only:
                 maps.temporal.append(w.mean(axis=0))  # (H, T, T)
-            e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
+            e = _aggregate(e, [a_out], params, pre, cfg, rng)
         else:  # full_2d
             a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg,
                                      _causal_mask(t, n))
@@ -425,7 +425,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
                 w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
                 maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
                 maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
-            e = _aggregate(e, [a_out], params, pre, cfg, training, rng)
+            e = _aggregate(e, [a_out], params, pre, cfg, rng)
         if not np.all(np.isfinite(e.data)):
             raise NumericError(f"non-finite embeddings after attention block {l}")
 
@@ -449,7 +449,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
-            maps_out: list | None = None) -> np.ndarray:
+            maps_out=None) -> np.ndarray:
     """`rollout_batch` on a single seed window.
 
     seed: (T_seed, N, M) flattened rotations, T_seed <= cfg.window.
@@ -458,14 +458,15 @@ def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps
 
 
 def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray,
-                  steps: int, maps_out: list | None = None) -> np.ndarray:
+                  steps: int, maps_out=None) -> np.ndarray:
     """Autoregressive prediction of several windows at once: predict the next
     frame of each window, project it onto SO(3), append it, slide the window,
     repeat.
 
     seeds: (B, T_seed, N, M) flattened rotations, T_seed <= cfg.window.
-    Returns predictions (B, steps, N, M). When `maps_out` is a list, each
-    step's AttentionMaps (averaged over the batch) is appended to it."""
+    Returns predictions (B, steps, N, M). When `maps_out` is given (a list,
+    or the sink of `write_attention_csv`), each step's AttentionMaps
+    (averaged over the batch) is appended to it."""
     seeds = np.asarray(seeds, dtype=np.float32)
     b, t_seed, n, m = seeds.shape
     if t_seed > cfg.window:
@@ -507,13 +508,28 @@ def attention_rows(maps: AttentionMaps, step: int):
                     yield "".join(f"{prefix}{col},{v}\n" for col, v in enumerate(row))
 
 
-def write_attention_csv(path, maps_list: list[AttentionMaps]):
-    """Atomically write the CSV of attention weights, one AttentionMaps per
-    rollout step (`rollout`'s `maps_out`)."""
+class _AttentionCSV:
+    """The `maps_out` of `write_attention_csv`: each appended AttentionMaps is
+    the next rollout step's, written at once and not kept."""
+
+    def __init__(self, fh):
+        self.fh, self.steps = fh, 0
+
+    def append(self, maps: AttentionMaps):
+        self.fh.writelines(attention_rows(maps, self.steps))
+        self.fh.flush()
+        self.steps += 1
+
+
+@contextlib.contextmanager
+def write_attention_csv(path):
+    """Atomically write the CSV of a rollout's attention weights. Yields a
+    `maps_out` for `rollout` or `rollout_batch` that writes each step's rows
+    as the step is appended, so only one step's maps are held; on an
+    exception in the block `path` is left as it was."""
     with tz.atomic_write(path) as fh:
         fh.write("step,layer,head,kind,row,col,weight\n")
-        for step, maps in enumerate(maps_list):
-            fh.writelines(attention_rows(maps, step))
+        yield _AttentionCSV(fh)
 
 
 def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
@@ -549,13 +565,6 @@ def estimate_workspace_elements(cfg: ModelConfig, batch: int) -> int:
     length, as `forward` reports them in ForwardStats. Used for memory
     budgeting."""
     return _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
-
-
-def attention_map_elements(cfg: ModelConfig, t: int) -> int:
-    """Elements of the AttentionMaps of one full forward pass over T frames:
-    per layer, (H, T, T) temporal and, but for vanilla_1d, (H, N, N) spatial."""
-    spatial = 0 if cfg.variant == "vanilla_1d" else cfg.n_joints ** 2
-    return cfg.n_layers * cfg.n_heads * (t * t + spatial)
 
 
 # ---------------------------------------------------------------------------

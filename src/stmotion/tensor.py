@@ -1,9 +1,10 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (float32 by default). Operations executed while a
-Tape is active are recorded and can be replayed backwards to populate the
-``grad`` buffers of every tensor created with ``requires_grad=True``.
-Without an active tape, operations are plain numpy calls.
+Tensors wrap numpy arrays (float32 by default), and every operation takes
+Tensor operands. Operations executed while a Tape is active are recorded and
+can be replayed backwards to populate the ``grad`` buffers of every tensor
+created with ``requires_grad=True``. Without an active tape, operations are
+plain numpy calls.
 """
 
 from __future__ import annotations
@@ -162,10 +163,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Ten
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -186,7 +183,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting over leading dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires rank >= 2 operands")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -211,7 +207,6 @@ def joint_linear(x: Tensor, w: Tensor) -> Tensor:
     one matmul batched over N and the backward two, plus a sum over heads for
     x's gradient; no gradient is computed for an operand that needs none.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     n, lead, din = x.data.shape[0], x.data.shape[1:-1], x.data.shape[-1]
     if w.data.ndim not in (3, 4) or w.data.shape[0] != n or w.data.shape[-2] != din:
         raise ValueError(f"joint_linear shape mismatch: {x.data.shape} @ {w.data.shape}")
@@ -238,7 +233,6 @@ def joint_linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def bwd(g):
@@ -249,7 +243,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
 
     def bwd(g):
@@ -260,7 +253,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
 
     def bwd(g):
@@ -271,7 +263,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = a.data.dtype.type(c)
     out = Tensor(a.data * c)
 
@@ -282,7 +273,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
 
     def bwd(g):
@@ -292,7 +282,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
@@ -302,7 +291,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor(a.data.transpose(axes))
@@ -350,7 +338,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
     Returns (context Tensor, weights ndarray). The weights overwrite the score
     buffer in place and are read-only; the op records one Tape entry.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if tau not in TAU_MODES:
         raise ValueError(f"unknown attention tau {tau!r}")
     c = q.data.dtype.type(scale)
@@ -399,7 +386,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
         raise ValueError("layer_norm gain/bias must match the last dimension of x")
     n = x.data.shape[-1]
@@ -426,15 +412,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time."""
-    x = _as_tensor(x)
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout, applied when given an rng (a training pass): survivors
+    scaled by 1/(1-rate). Without an rng (inference) x is returned as is."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout requires an rng")
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     m = keep / x.data.dtype.type(1.0 - rate)
     out = Tensor(x.data * m)
@@ -447,7 +431,6 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    x = _as_tensor(x)
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
 
     def bwd(g):
@@ -458,7 +441,6 @@ def tsum(x: Tensor) -> Tensor:
 
 def l2norm_lastdim(x: Tensor) -> Tensor:
     """Euclidean norm along the last dimension; subgradient 0 at exact zeros."""
-    x = _as_tensor(x)
     norm = np.sqrt((x.data * x.data).sum(axis=-1))
     out = Tensor(norm)
 

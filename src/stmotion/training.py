@@ -216,7 +216,7 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
             inputs, targets = sample_batch(train_seqs, tcfg.batch_size, cfg.window + 1, rng,
                                            tcfg.reverse_prob, tcfg.mirror_prob)
             with Tape() as tape:
-                pred, _, _ = forward(params, cfg, inputs, training=True, rng=rng)
+                pred, _, _ = forward(params, cfg, inputs, rng=rng)
                 loss = loss_per_joint_l2(pred, targets)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -293,8 +294,8 @@ class TestTrain:
         assert len(err) == 1 and "a_file" in err[0], err
 
     @pytest.mark.parametrize("flag, named", [
-        ("--steps", "max_steps 0 must be >= 1"),
-        ("--batch-size", "batch_size 0 must be >= 1"),
+        ("--steps", "argument --steps: must be an integer >= 1, got '0'"),
+        ("--batch-size", "argument --batch-size: must be an integer >= 1, got '0'"),
     ], ids=["steps", "batch_size"])
     def test_zero_count_flag_is_usage_error(self, workdir, tmp_path, capsys, flag, named):
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
@@ -475,6 +476,34 @@ class TestRollout:
         steps = {int(line.split(",")[0]) for line in lines[1:]}
         assert steps == {0, 1, 2}  # 0.05 s at 60 fps
 
+    def test_out_and_dump_attention_must_differ(self, workdir, tmp_path, capsys, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("the paths must be compared before any file is read")
+
+        monkeypatch.setattr(model, "load_checkpoint", read)
+        out = tmp_path / "p.stm1"
+        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--seed-file", str(workdir / "data.stm1"), "--seconds", "0.1",
+                         "--out", str(out),
+                         "--dump-attention", os.path.join(tmp_path, ".", "p.stm1")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--dump-attention" in err[0] and f"--out {out}" in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_motion_write_leaves_no_attention_csv(self, workdir, tmp_path, capsys):
+        seed_file = tmp_path / "seed.stm1"
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:8], seq.frame_rate))
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        assert cli.main(["rollout", "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--seed-file", str(seed_file), "--seconds", "0.05", "--out", str(out),
+                         "--dump-attention", str(tmp_path / "att.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a_directory" in err[0], err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a_directory", "seed.stm1"]
+
     @pytest.mark.parametrize("seconds", ["0", "-1", "0.001"])
     def test_no_frames_is_usage_error(self, workdir, tmp_path, capsys, seconds):
         seed_file = tmp_path / "seed.stm1"
@@ -529,15 +558,13 @@ class TestRollout:
         assert f"8-frame window of --checkpoint {ckpt}" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("variant, window, seed_frames, seconds, dump, named", [
-        ("st", 120, 120, "60", True, "--dump-attention"),
-        ("full_2d", 400, 8, "0.05", False, "--checkpoint"),
-    ], ids=["attention_maps", "forward_workspace"])
+    @pytest.mark.parametrize("variant, window, seed_frames, seconds, named", [
+        ("full_2d", 400, 8, "0.05", "--checkpoint"),
+    ], ids=["forward_workspace"])
     def test_budget_counts_what_the_rollout_holds(self, workdir, tmp_path, capsys, monkeypatch,
-                                                  variant, window, seed_frames, seconds, dump,
-                                                  named):
-        # st, W=120, L=8, H=8: 3600 steps of maps hold ~12.4 GiB; full_2d at
-        # W=400 needs a ~3.3 GB forward workspace; the frames alone are < 2 MiB
+                                                  variant, window, seed_frames, seconds, named):
+        # full_2d at W=400 needs a ~3.3 GB forward workspace; the frames alone
+        # are < 2 MiB
         def roll(*args, **kwargs):
             raise AssertionError("the budget must hold before the rollout starts")
 
@@ -549,13 +576,12 @@ class TestRollout:
         seq = motiondata.load_motion(workdir / "data.stm1")
         motiondata.save_motion(seed_file, motiondata.MotionSequence(
             seq.skeleton, seq.rotations[:seed_frames], seq.frame_rate))
-        out, att = tmp_path / "p.stm1", tmp_path / "att.csv"
+        out = tmp_path / "p.stm1"
         assert cli.main(["rollout", "--checkpoint", str(ckpt), "--seed-file", str(seed_file),
-                         "--seconds", seconds, "--out", str(out)]
-                        + (["--dump-attention", str(att)] if dump else [])) == 2
+                         "--seconds", seconds, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
-        assert not out.exists() and not att.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header"])
     def test_damaged_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, damage):
@@ -680,7 +706,8 @@ class TestMemoryBudget:
                 if command == "train" else ["bench", "--variant", "st", "--out", str(out)])
         assert cli.main([*argv, "--memory-budget", budget]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"--memory-budget must be >= 1 MiB, got {budget}" in err[0], err
+        assert len(err) == 1 and (f"argument --memory-budget: must be an integer >= 1, "
+                                  f"got '{budget}'") in err[0], err
         assert not out.exists()
 
     def test_train_states_the_budget_in_mib(self, workdir, tmp_path, capsys):
@@ -713,6 +740,79 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "--seed" in err and "non-negative integer, got '-1'" in err, err
         assert not out.exists()
+
+    # every integer flag of every command, each with its lowest allowed value
+    INTEGER_FLAGS = {
+        "synth": {"--frames": 1, "--seed": 0},
+        "train": {"--steps": 1, "--seed": 0, "--batch-size": 1, "--warmup": 1,
+                  "--memory-budget": 1},
+        "eval": {"--n-windows": 1, "--seed": 0},
+        "bench": {"--n-joints": 1, "--embed-dim": 1, "--heads": 1, "--repeats": 1,
+                  "--seed": 0, "--memory-budget": 1},
+    }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command, flags in INTEGER_FLAGS.items()
+        for flag, low in flags.items()
+        for value in (["0", "-1", "x"] if low == 1 else ["-1", "x"])])
+    def test_bad_integer_flag_is_one_usage_line(self, workdir, tmp_path, capsys, monkeypatch,
+                                                command, flag, value):
+        def read(*args, **kwargs):
+            raise AssertionError("the flag must be checked before any file is read")
+
+        for mod, name in ((motiondata, "load_motion"), (model, "load_checkpoint")):
+            monkeypatch.setattr(mod, name, read)
+        out = tmp_path / "out"
+        argv = {"synth": ["--frames", "10", "--out", str(out)],
+                "train": ["--data", str(workdir / "data.stm1"), "--out-dir", str(out)],
+                "eval": ["--data", str(workdir / "data.stm1"), "--out", str(out),
+                         "--checkpoint", str(workdir / "run" / "best.stt1")],
+                "bench": ["--variant", "st", "--out", str(out)]}[command]
+        assert cli.main([command, *argv, flag, value]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"argument {flag}:" in err[0] and f"got '{value}'" in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_integer_flag_takes_the_one_rule(self):
+        # no bare int, and the flags typed by the rule are the matrix above
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        found = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                assert action.type is not int, (command, action.option_strings)
+                if getattr(action.type, "__qualname__", "").startswith("_at_least."):
+                    flag = action.option_strings[0]
+                    low = self.INTEGER_FLAGS.get(command, {}).get(flag)
+                    assert low is not None and action.type(str(low)) == low, (command, flag)
+                    found.add((command, flag))
+        assert found == {(c, f) for c, flags in self.INTEGER_FLAGS.items() for f in flags}
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "required: command"),
+        (["dance"], "invalid choice: 'dance'"),
+        (["synth", "--frames", "10"], "required: --out"),
+        (["rollout", "--checkpoint", "c"], "required: --seed-file, --seconds, --out"),
+        (["bench", "--variant", "2d", "--out", "b"], "argument --variant: invalid choice"),
+        (["bench", "--variant", "st", "--out", "b", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["synth", "--out", "m", "--frames"], "argument --frames: expected one argument"),
+    ], ids=["no_command", "unknown_command", "missing_flag", "missing_flags",
+            "bad_choice", "unknown_flag", "missing_value"])
+    def test_parser_errors_are_one_line(self, capsys, argv, named):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: st-motion" in capsys.readouterr().out
 
     def test_coerce_types(self):
         assert cli._coerce("true") is True

@@ -437,8 +437,7 @@ class TestTapeSize:
         params = mo.init_params(cfg, np.random.default_rng(18))
         x = rand_window(cfg, b=16, seed=19)
         with Tape() as tape:
-            pred, _, _ = mo.forward(params, cfg, x, training=True,
-                                    rng=np.random.default_rng(20))
+            pred, _, _ = mo.forward(params, cfg, x, rng=np.random.default_rng(20))
             loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
         assert len(tape.ops) <= 68
 
@@ -614,8 +613,8 @@ class TestLastOnly:
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(63))
         with pytest.raises(ConfigError, match="last_only"):
-            mo.forward(params, cfg, rand_window(cfg), training=True,
-                       rng=np.random.default_rng(0), last_only=True)
+            mo.forward(params, cfg, rand_window(cfg), rng=np.random.default_rng(0),
+                       last_only=True)
 
 
 class TestForwardValidation:
@@ -630,12 +629,6 @@ class TestForwardValidation:
         params = mo.init_params(cfg, np.random.default_rng(25))
         with pytest.raises(ConfigError):
             mo.forward(params, cfg, np.zeros((2, 9, 3, 9), np.float32))
-
-    def test_training_needs_rng(self):
-        cfg = tiny_cfg(dropout=0.5)
-        params = mo.init_params(cfg, np.random.default_rng(26))
-        with pytest.raises(ConfigError):
-            mo.forward(params, cfg, rand_window(cfg), training=True)
 
     def test_nan_input_raises_numeric_error(self):
         cfg = tiny_cfg()
@@ -731,7 +724,9 @@ class TestCheckpoint:
         params = mo.init_params(cfg, np.random.default_rng(32))
         _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=4))
         p = tmp_path / "att.csv"
-        mo.write_attention_csv(p, [maps, maps])
+        with mo.write_attention_csv(p) as sink:
+            sink.append(maps)
+            sink.append(maps)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "step,layer,head,kind,row,col,weight"
         h, t, n = cfg.n_heads, 4, cfg.n_joints
@@ -743,6 +738,27 @@ class TestCheckpoint:
         assert (kind, row, col) == ("temporal", "0", "1")
         assert float(w) == 0.0
 
+    def test_attention_csv_is_written_as_the_rollout_runs(self, tmp_path, monkeypatch):
+        # only one step's maps are held: when step 1's forward starts, step 0's
+        # rows are already in the file being written
+        cfg = tiny_cfg(n_layers=1)
+        params = mo.init_params(cfg, np.random.default_rng(35))
+        forward, written = mo.forward, []
+
+        def spy(*args, **kwargs):
+            written.append([f.read_text() for f in tmp_path.iterdir()])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(mo, "forward", spy)
+        p = tmp_path / "att.csv"
+        with mo.write_attention_csv(p) as sink:
+            mo.rollout(params, cfg, rand_window(cfg, b=1, t=4)[0], 2, sink)
+        lines = p.read_text().splitlines(keepends=True)
+        h, t, n = cfg.n_heads, 4, cfg.n_joints
+        step0 = 1 + h * t * t + h * n * n
+        assert len(lines) == 1 + 2 * (step0 - 1)
+        assert len(written) == 2 and written[1] == ["".join(lines[:step0])]
+
     def test_attention_csv_matches_per_cell_reference(self, tmp_path):
         rng = np.random.default_rng(34)
 
@@ -753,7 +769,9 @@ class TestCheckpoint:
 
         maps_list = [rand_maps(4, 3), rand_maps(4, 3)]
         p = tmp_path / "att.csv"
-        mo.write_attention_csv(p, maps_list)
+        with mo.write_attention_csv(p) as sink:
+            for maps in maps_list:
+                sink.append(maps)
         want = ["step,layer,head,kind,row,col,weight"]
         for step, maps in enumerate(maps_list):
             for kind, layers in (("temporal", maps.temporal), ("spatial", maps.spatial)):

@@ -368,22 +368,22 @@ class TestLayerNorm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(5.0))
-        out = tz.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = tz.dropout(x, 0.0, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_inference_identity(self):
         x = Tensor(np.arange(5.0))
-        out = tz.dropout(x, 0.9, training=False)
+        out = tz.dropout(x, 0.9)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            tz.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            tz.dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
     def test_statistics(self):
         rng = np.random.default_rng(6)
         x = Tensor(np.ones(100_000, dtype=np.float32))
-        out = tz.dropout(x, 0.5, training=True, rng=rng)
+        out = tz.dropout(x, 0.5, rng=rng)
         survivors = (out.data > 0).mean()
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
@@ -458,8 +458,7 @@ class TestBackward:
         params = mo.init_params(cfg, np.random.default_rng(9))
         x = np.random.default_rng(10).standard_normal((2, 8, 3, 9)).astype(np.float32)
         with Tape() as tape:
-            pred, _, _ = mo.forward(params, cfg, x, training=True,
-                                    rng=np.random.default_rng(11))
+            pred, _, _ = mo.forward(params, cfg, x, rng=np.random.default_rng(11))
             loss = tz.tsum(tz.l2norm_lastdim(pred))
         backward(loss, tape)
         window = [t for _, inputs, _ in tape.ops for t in inputs
