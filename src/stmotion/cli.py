@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import os
@@ -177,7 +178,7 @@ def cmd_train(args) -> int:
     try:
         result = training.train(params, cfg, tcfg, train_seqs, val_seqs)
         failure = None
-    except NumericError as err:  # keep the best parameters so far
+    except (NumericError, DegenerateRotationError) as err:  # keep the best parameters so far
         result, failure = err.result, err
     model.save_checkpoint(out("best.stt1"), cfg, result.params)
     training.write_history_csv(out("history.csv"), result.history)
@@ -279,14 +280,18 @@ def cmd_bench(args) -> int:
         if len(vals) != 3 or min(vals) < 1:
             raise ConfigError(f"--grid entry {part!r} must be three integers L,W,B >= 1")
         triples.append(vals)
+    try:  # ModelConfig owns the width rules; its message names its keys, not the flags
+        base = model.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
+                                 n_heads=args.heads, ff_size=2 * args.embed_dim, dropout=0.0,
+                                 variant=args.variant)
+    except ConfigError as err:
+        raise ConfigError(f"--embed-dim {args.embed_dim} with --heads {args.heads}: "
+                          f"{err}") from None
     rng = np.random.default_rng(args.seed)
 
     rows = []
     for layers, win, batch in triples:
-        cfg = model.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
-                                n_layers=layers, n_heads=args.heads,
-                                ff_size=2 * args.embed_dim, window=win, dropout=0.0,
-                                variant=args.variant)
+        cfg = dataclasses.replace(base, n_layers=layers, window=win)
         try:
             _check_budget("--grid", 4 * model.estimate_workspace_elements(cfg, batch),
                           args.memory_budget)

@@ -271,40 +271,27 @@ def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, ejq: Tenso
     return tz.transpose(out, (1, 2, 0, 3)), weights
 
 
-def _spatial_stream(e: Tensor, ej: Tensor, p: dict, pre: str, cfg: ModelConfig):
-    """Unmasked attention among joints within a frame. e: (B, T, N, D), with
-    its joint-major view ej: (N, B, T, D) for the per-joint projections.
-    Returns ((B, T, N, D), weights (B, T, H, N, N))."""
-    b, t, n, d = e.data.shape
-    shared = tz.reshape(e, (b, t, 1, n, d))
+def _token_attention(x: Tensor, p: dict, pre: str, cfg: ModelConfig, mask: np.ndarray | None,
+                     xj: Tensor | None = None):
+    """Multi-head attention among the S tokens of x: (..., S, D): st's joints
+    within a frame (lead axes B, T), vanilla_1d's frames or full_2d's
+    joint-time tokens (lead axis B). `mask` is the (S, S) `_causal_mask` or
+    None. Each Q/K/V weight's shape gives its form: (H, D, F) is shared,
+    (S, H, D, F) is one matrix per token, applied to xj, the token-major
+    view (S, ..., D) of x. Returns ((..., S, D), weights (..., H, S, S))."""
+    *lead, s, d = x.data.shape
+    nl = len(lead)
+    shared = tz.reshape(x, (*lead, 1, s, d))
 
-    def project(name, per_joint):
-        if per_joint:  # (N, H, B, T, F) -> (B, T, H, N, F)
-            return tz.transpose(tz.joint_linear(ej, p[name]), (2, 3, 1, 0, 4))
+    def project(name):
+        if p[name].data.ndim == 4:  # (S, H, ..., F) -> (..., H, S, F)
+            return tz.transpose(tz.joint_linear(xj, p[name]), (*range(2, nl + 2), 1, 0, nl + 2))
         return tz.matmul(shared, p[name])
 
-    q = project(pre + "s.wq", cfg.spatial_sharing != "all_shared")
-    k = project(pre + "s.wk", cfg.spatial_sharing == "all_separate")
-    v = project(pre + "s.wv", cfg.spatial_sharing == "all_separate")
-    ctx, weights = _attend(q, k, v, cfg, None)  # (B, T, H, N, F)
-    ctx = tz.reshape(tz.transpose(ctx, (0, 1, 3, 2, 4)), (b, t, n, d))
-    return tz.matmul(ctx, p[pre + "s.wo"]), weights  # (B, T, N, D)
-
-
-def _token_stream(e: Tensor, p: dict, pre: str, cfg: ModelConfig, mask: np.ndarray | None):
-    """Shared-weight attention over a flat token axis (vanilla and 2D paths).
-
-    e: (B, S, D) with S tokens; mask is the (S, S) `_causal_mask`."""
-    b, s, d = e.data.shape
-    h, f = cfg.n_heads, cfg.head_dim
-    er = tz.reshape(e, (b, 1, s, d))
-    q = tz.matmul(er, p[pre + "a.wq"])  # (B, H, S, F)
-    k = tz.matmul(er, p[pre + "a.wk"])
-    v = tz.matmul(er, p[pre + "a.wv"])
-    ctx, weights = _attend(q, k, v, cfg, mask)
-    ctx = tz.reshape(tz.transpose(ctx, (0, 2, 1, 3)), (b, s, h * f))
-    out = tz.matmul(ctx, p[pre + "a.wo"])  # (B, S, D)
-    return out, weights
+    q, k, v = project(pre + "wq"), project(pre + "wk"), project(pre + "wv")
+    ctx, weights = _attend(q, k, v, cfg, mask)  # (..., H, S, F)
+    ctx = tz.reshape(tz.transpose(ctx, (*range(nl), nl + 1, nl, nl + 2)), (*lead, s, d))
+    return tz.matmul(ctx, p[pre + "wo"]), weights  # (..., S, D)
 
 
 def _feed_forward(x: Tensor, p: dict, name: str) -> Tensor:
@@ -405,20 +392,20 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
             if l == cfg.n_layers - 1 and tq < t:  # trimmed: only K and V see all T frames
                 eq, ejq = Tensor(e.data[:, t - tq:]), Tensor(ej.data[:, :, t - tq:])
             t_out, t_w = _temporal_stream(ej, params, pre, cfg, ejq)
-            s_out, s_w = _spatial_stream(eq, ejq, params, pre, cfg)
+            s_out, s_w = _token_attention(eq, params, pre + "s.", cfg, None, ejq)
             if not last_only:
                 # (N, H, B, T, T) -> (H, T, T), averaged over joints and batch
                 maps.temporal.append(t_w.mean(axis=(0, 2)))
                 maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
             e = _aggregate(eq, [t_out, s_out], params, pre, cfg, rng)
         elif cfg.variant == "vanilla_1d":
-            a_out, w = _token_stream(e, params, pre, cfg, _causal_mask(t, 1))
+            a_out, w = _token_attention(e, params, pre + "a.", cfg, _causal_mask(t, 1))
             if not last_only:
                 maps.temporal.append(w.mean(axis=0))  # (H, T, T)
             e = _aggregate(e, [a_out], params, pre, cfg, rng)
         else:  # full_2d
-            a_out, w = _token_stream(tz.reshape(e, (b, t * n, d)), params, pre, cfg,
-                                     _causal_mask(t, n))
+            a_out, w = _token_attention(tz.reshape(e, (b, t * n, d)), params, pre + "a.", cfg,
+                                        _causal_mask(t, n))
             a_out = tz.reshape(a_out, (b, t, n, d))
             if not last_only:
                 # (B, H, T, N, T, N): sum over attended axis, average the rest

@@ -227,6 +227,30 @@ class TestTrain:
         assert cfg.embed_dim == 8
         assert len((d / "history.csv").read_text().strip().split("\n")) == 1 + 1
 
+    def test_degenerate_validation_keeps_best_and_history(self, workdir, tmp_path, capsys,
+                                                          monkeypatch):
+        # identity data and out.b = -I predict the zero matrix; at this warmup
+        # the learning rate (~1e-10) moves no float32 weight near 1, so the
+        # validation rollout at step 2 reaches a rank-deficient frame
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        data = tmp_path / "still.stm1"
+        motiondata.save_motion(data, motiondata.MotionSequence(
+            seq.skeleton, np.broadcast_to(np.eye(3), seq.rotations.shape), seq.frame_rate))
+        init_params = model.init_params
+
+        def minus_identity_out_bias(cfg, rng):
+            params = init_params(cfg, rng)
+            params["out.b"].data[...] = -np.eye(3, dtype=np.float32).reshape(-1)
+            return params
+        monkeypatch.setattr(model, "init_params", minus_identity_out_bias)
+        d = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "tiny.cfg"),
+                         "--warmup", "1000000", "--out-dir", str(d)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rank-deficient" in err[0], err
+        assert sorted(f.name for f in d.iterdir()) == ["best.stt1", "history.csv"]
+        assert len((d / "history.csv").read_text().strip().split("\n")) == 1 + 1
+
     @pytest.mark.parametrize("line, named", [
         ("embed_dim = abc", "embed_dim 'abc' must be int"),
         ("dropout = high", "dropout 'high' must be float"),
@@ -662,6 +686,18 @@ class TestBench:
         assert cli.main(["bench", "--variant", "st", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--embed-dim", "3"], "--embed-dim 3"),
+        (["--heads", "3"], "--heads 3"),
+    ], ids=["odd_embed_dim", "heads_not_dividing"])
+    def test_width_errors_name_the_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "b.csv"
+        assert cli.main(["bench", "--variant", "st", "--grid", "1,8,1", *flags,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
         assert not out.exists()
 
 

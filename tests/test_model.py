@@ -428,18 +428,27 @@ class TestCausalMasks:
 
 
 class TestTapeSize:
-    def test_desk_training_step_op_count(self):
+    @pytest.mark.parametrize("kw, most", [
+        (dict(), 68),
+        (dict(spatial_sharing="all_separate"), 72),
+        (dict(spatial_sharing="all_shared"), 66),
+        (dict(ff_per_branch=True), 78),
+        (dict(variant="vanilla_1d"), 44),
+        (dict(variant="full_2d"), 50),
+    ], ids=["query_separate", "all_separate", "all_shared", "ff_per_branch", "vanilla_1d",
+            "full_2d"])
+    def test_desk_training_step_op_count(self, kw, most):
         # every recorded op costs Python overhead per call, and batch-1
         # rollouts run the same op sequence: guard against op creep
         from stmotion.training import loss_per_joint_l2
         cfg = mo.ModelConfig(n_joints=9, embed_dim=16, n_heads=2, n_layers=2, ff_size=32,
-                             window=32, dropout=0.1, variant="st")
+                             window=32, dropout=0.1, **kw)
         params = mo.init_params(cfg, np.random.default_rng(18))
         x = rand_window(cfg, b=16, seed=19)
         with Tape() as tape:
             pred, _, _ = mo.forward(params, cfg, x, rng=np.random.default_rng(20))
             loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
-        assert len(tape.ops) <= 68
+        assert len(tape.ops) <= most
 
 
 class TestSharingAblations:
@@ -824,8 +833,7 @@ class TestSpecHandCases:
         ej = tz.transpose(e, (2, 0, 1, 3))  # joint-major (N, B, T, D)
         t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg)
         flat = Tensor(e.data.reshape(2, 6, d))
-        a_out, _ = mo._token_stream(flat, p2, "l0.", cfg,
-                                    mo._causal_mask(6, 1))
+        a_out, _ = mo._token_attention(flat, p2, "l0.a.", cfg, mo._causal_mask(6, 1))
         np.testing.assert_allclose(t_out.data.reshape(2, 6, d), a_out.data,
                                    atol=1e-5)
 
@@ -835,7 +843,7 @@ class TestSpecHandCases:
         one = np.random.default_rng(44).standard_normal(
             (1, 4, 1, cfg.embed_dim)).astype(np.float32)
         e = Tensor(np.tile(one, (1, 1, cfg.n_joints, 1)))
-        _, maps = mo._spatial_stream(e, tz.transpose(e, (2, 0, 1, 3)), params, "l0.", cfg)
+        _, maps = mo._token_attention(e, params, "l0.s.", cfg, None)
         np.testing.assert_allclose(maps, 1.0 / cfg.n_joints, atol=1e-6)
 
     def test_rollout_single_step_is_projected_forward_row(self):

@@ -5,6 +5,7 @@ from stmotion import model as mo
 from stmotion import motiondata as md
 from stmotion import training as tr
 from stmotion.errors import ConfigError, NumericError
+from stmotion.so3 import DegenerateRotationError
 from stmotion.tensor import Tensor
 
 
@@ -285,6 +286,21 @@ class TestTrainLoop:
                               seed=4, n_val_windows=2)
         seqs = make_seqs()
         with pytest.raises(NumericError) as exc:
+            tr.train(params, cfg, tcfg, seqs, seqs)
+        assert [row["step"] for row in exc.value.result.history] == [1]
+
+    def test_degenerate_validation_frame_carries_partial_result(self):
+        # identity data and out.b = -I predict the zero matrix; at this warmup
+        # the learning rate (~1e-10) moves no float32 weight near 1, so the
+        # validation rollout at step 2 reaches a rank-deficient frame
+        sk = md.default_skeleton()
+        eye = np.tile(np.eye(3, dtype=np.float32), (400, sk.n_joints, 1, 1))
+        seqs = [md.MotionSequence(sk, eye, 60.0)]
+        cfg, params = tiny_setup()
+        params["out.b"].data[...] = -np.eye(3, dtype=np.float32).reshape(-1)
+        tcfg = tr.TrainConfig(batch_size=2, warmup=10 ** 6, max_steps=3, eval_every=2,
+                              seed=4, n_val_windows=2)
+        with pytest.raises(DegenerateRotationError) as exc:
             tr.train(params, cfg, tcfg, seqs, seqs)
         assert [row["step"] for row in exc.value.result.history] == [1]
 
