@@ -178,11 +178,15 @@ def longterm_eval(prediction, skeleton: Skeleton, reference_windows,
     """Per-second spectrum curves of an arbitrarily long prediction.
 
     prediction: (T, N, 9) rollout; reference_windows: list of 1-second
-    (T_w, N, 9) clips defining the reference distribution G. Returns
-    (seconds list, ps_kld list, ps_entropy list) with one entry per full
-    non-overlapping 1-second prediction window."""
+    (T_w, N, 9) clips defining the reference distribution G, T_w =
+    round(frame_rate) (ValueError otherwise). Returns (seconds list, ps_kld
+    list, ps_entropy list) with one entry per full non-overlapping 1-second
+    prediction window."""
     prediction = np.asarray(prediction)
-    t_w = reference_windows[0].shape[0]
+    t_w = round(frame_rate)
+    if reference_windows[0].shape[0] != t_w:
+        raise ValueError(f"reference windows have {reference_windows[0].shape[0]} frames, "
+                         f"not one second ({t_w} frames at {frame_rate:g} fps)")
     if prediction.shape[0] < t_w:
         raise ValueError("prediction shorter than one reference window")
     g = ps_of_windows(reference_windows, skeleton)

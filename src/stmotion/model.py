@@ -281,7 +281,8 @@ def _token_attention(x: Tensor, p: dict, pre: str, cfg: ModelConfig, mask: np.nd
     view (S, ..., D) of x. Returns ((..., S, D), weights (..., H, S, S))."""
     *lead, s, d = x.data.shape
     nl = len(lead)
-    shared = tz.reshape(x, (*lead, 1, s, d))
+    if any(p[pre + name].data.ndim == 3 for name in ("wq", "wk", "wv")):
+        shared = tz.reshape(x, (*lead, 1, s, d))  # read by the shared weights only
 
     def project(name):
         if p[name].data.ndim == 4:  # (S, H, ..., F) -> (..., H, S, F)

@@ -43,6 +43,9 @@ class Skeleton:
         n = len(self.joint_names)
         if self.parent.shape != (n,) or self.offset.shape != (n, 3) or self.mirror_pair.shape != (n,):
             raise ValueError("skeleton field shapes are inconsistent")
+        for name, row in zip(self.joint_names, self.offset):
+            if not np.isfinite(row).all():
+                raise ValueError(f"offset of joint {name!r} must be finite, got {row.tolist()}")
         for i, p in enumerate(self.parent):
             if p >= i:
                 raise ValueError("parents must be topologically ordered (parent[i] < i)")
@@ -146,12 +149,17 @@ class JointMotionSpec:
         self.axis = np.asarray(self.axis, dtype=np.float64)
         if self.axis.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {self.axis.shape}")
+        if not np.isfinite(self.axis).all():
+            raise ValueError(f"axis must be finite, got {self.axis.tolist()}")
         norm = np.linalg.norm(self.axis)
         if norm == 0:
             raise ValueError("axis must be nonzero")
         self.axis = self.axis / norm
         if not abs(self.amplitude) < np.pi:
             raise ValueError(f"amplitude must be < pi, got {self.amplitude}")
+        for name in ("frequency", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "frame_rate"):

@@ -35,9 +35,7 @@ __all__ = [
     "matmul",
     "joint_linear",
     "add",
-    "sub",
     "mul",
-    "scale",
     "relu",
     "reshape",
     "transpose",
@@ -242,16 +240,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if _needs(a) else None,
-                _unbroadcast(-g, b.data.shape) if _needs(b) else None)
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
@@ -260,16 +248,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None)
 
     return _record(out, (a, b), bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = a.data.dtype.type(c)
-    out = Tensor(a.data * c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _record(out, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -517,10 +495,14 @@ _MAGIC = b"STT1"
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file next to `path` for writing; on a clean exit it
     replaces `path` with `os.replace`, on an exception it is removed and
-    `path` keeps its old contents."""
+    `path` keeps its old contents. A failed open names `path`."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -59,10 +59,10 @@ def loss_per_joint_l2(pred: Tensor, target: np.ndarray) -> Tensor:
     t = np.asarray(target, dtype=pred.data.dtype)
     if t.shape != pred.data.shape:
         raise ValueError(f"shape mismatch: pred {pred.data.shape} vs target {t.shape}")
-    per_joint = tz.l2norm_lastdim(tz.sub(pred, Tensor(t)))
+    per_joint = tz.l2norm_lastdim(tz.add(pred, Tensor(-t)))
     total = tz.tsum(per_joint)
     if pred.data.ndim == 4:
-        total = tz.scale(total, 1.0 / pred.data.shape[0])
+        total = tz.mul(total, Tensor(1.0 / pred.data.shape[0], dtype=pred.data.dtype))
     return total
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,8 +88,16 @@ class TestSynth:
         ({"joints": [], "noise_std": -1}, "noise_std -1.0 must be finite and >= 0"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 4, "frequency": 1.0}]},
          "amplitude must be < pi, got 4.0"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
+                      "phase": math.nan}]}, "phase must be finite, got nan"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
+                      "phase": math.inf}]}, "phase must be finite, got inf"),
+        ({"joints": [{"joint": 1, "axis": [0, math.nan, 1], "amplitude": 0.3, "frequency": 1.0}]},
+         "axis must be finite, got [0.0, nan, 1.0]"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": -math.inf}]},
+         "frequency must be finite, got -inf"),
     ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise",
-            "large_amplitude"])
+            "large_amplitude", "nan_phase", "inf_phase", "nan_axis", "minus_inf_frequency"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -96,6 +105,21 @@ class TestSynth:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"spec file {path}: {named}" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_skeleton_offset_is_usage_error(self, tmp_path, capsys, value):
+        sk = motiondata.default_skeleton()
+        offset = sk.offset.tolist()
+        offset[2][0] = value
+        path, out = tmp_path / "skel.json", tmp_path / "m.stm1"
+        path.write_text(json.dumps({"joint_names": sk.joint_names, "parent": sk.parent.tolist(),
+                                    "offset": offset, "mirror_pair": sk.mirror_pair.tolist()}))
+        assert cli.main(["synth", "--frames", "10", "--skeleton", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"skeleton file {path}: offset of joint 'head' must be finite" \
+            in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -1001,6 +1025,21 @@ class TestFileFormats:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "a_directory" in err[0]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a_directory"]
+
+    @pytest.mark.parametrize("command", ["synth", "eval", "rollout"])
+    def test_write_error_names_the_given_path(self, workdir, small_motion, tmp_path, capsys,
+                                              command):
+        # the write goes through a temporary file, a name the user never gave
+        out, ckpt = tmp_path / "nodir" / "x.out", str(workdir / "run" / "best.stt1")
+        argv = {"synth": ["synth", "--frames", "40", "--out", str(out)],
+                "eval": ["eval", "--data", str(workdir / "data.stm1"), "--checkpoint", ckpt,
+                         "--horizons", "100", "--n-windows", "2", "--out", str(out)],
+                "rollout": ["rollout", "--checkpoint", ckpt, "--seed-file", str(small_motion),
+                            "--seconds", "0.05", "--out", str(tmp_path / "p.stm1"),
+                            "--dump-attention", str(out)]}[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: [Errno 2] No such file or directory: '{out}'"]
 
     def test_degenerate_rollout_is_a_numeric_failure(self, workdir, tmp_path, capsys):
         cfg, params = model.load_checkpoint(workdir / "run" / "best.stt1")

@@ -238,6 +238,15 @@ class TestLongterm:
         assert all(f < m for f, m in zip(ents_f, ents_m))
         assert all(f > m for f, m in zip(klds_f, klds_m))
 
+    @pytest.mark.parametrize("frame_rate", [30.0, 1234.0])
+    def test_references_must_be_one_second(self, frame_rate):
+        # 60-frame references at another rate would make `seconds` count windows
+        sk = md.default_skeleton()
+        seq = md.synth_motion(sk, 240, 60.0, md.two_frequency_spec(sk))
+        refs = [seq.flat()[s:s + 60] for s in range(0, 120, 60)]
+        with pytest.raises(ValueError, match="not one second"):
+            ev.longterm_eval(seq.flat(), sk, refs, frame_rate)
+
     def test_too_short_prediction(self):
         sk, rots = rot_seq(10)
         with pytest.raises(ValueError):

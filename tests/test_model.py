@@ -341,7 +341,7 @@ class TestGradients:
                 local = dict(params)
                 local[_name] = t_param
                 pred, _, _ = mo.forward(local, cfg, x)
-                diff = tz.sub(pred, Tensor(tgt))
+                diff = tz.add(pred, Tensor(-tgt))
                 return tz.tsum(tz.l2norm_lastdim(diff))
 
             err = tz.finite_diff_check(f, params[name], step=1e-5)
@@ -430,7 +430,7 @@ class TestCausalMasks:
 class TestTapeSize:
     @pytest.mark.parametrize("kw, most", [
         (dict(), 68),
-        (dict(spatial_sharing="all_separate"), 72),
+        (dict(spatial_sharing="all_separate"), 70),
         (dict(spatial_sharing="all_shared"), 66),
         (dict(ff_per_branch=True), 78),
         (dict(variant="vanilla_1d"), 44),
@@ -439,7 +439,8 @@ class TestTapeSize:
             "full_2d"])
     def test_desk_training_step_op_count(self, kw, most):
         # every recorded op costs Python overhead per call, and batch-1
-        # rollouts run the same op sequence: guard against op creep
+        # rollouts run the same op sequence: guard against op creep, and
+        # record only ops on a path from a parameter to the loss
         from stmotion.training import loss_per_joint_l2
         cfg = mo.ModelConfig(n_joints=9, embed_dim=16, n_heads=2, n_layers=2, ff_size=32,
                              window=32, dropout=0.1, **kw)
@@ -447,8 +448,10 @@ class TestTapeSize:
         x = rand_window(cfg, b=16, seed=19)
         with Tape() as tape:
             pred, _, _ = mo.forward(params, cfg, x, rng=np.random.default_rng(20))
-            loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
+            loss = loss_per_joint_l2(pred, rand_window(cfg, b=16, seed=21))
         assert len(tape.ops) <= most
+        backward(loss, tape)
+        assert [i for i, (out, _, _) in enumerate(tape.ops) if out.grad is None] == []
 
 
 class TestSharingAblations:

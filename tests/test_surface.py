@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public names that nothing in src/, demos/ or stbench/ calls, each with its reason.
 UNCALLED = {
     "finite_diff_check": "the central-difference reference the gradient tests compare with",
-    "mul": "weights the finite-difference losses of the gradient tests",
     "angleaxis_from_rotmat": "the round trips of acceptance criterion 7",
     "rotmat_from_euler": "the round trips of acceptance criterion 7",
     "matched_vanilla_config": "the parameter-matched baseline of acceptance criterion 9",

@@ -161,10 +161,11 @@ class TestSoftmax:
 
 
 def unfused_attention(q, k, v, scale, mask, mode):
-    """The chain tz.attention replaces: scale(matmul(q, k^T)) + bias, then the
+    """The chain tz.attention replaces: matmul(q, k^T) * scale + bias, then the
     tau kernel as the engine wrote it before the fusion, then @ v."""
     kt = tz.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
-    s = tz.scale(tz.matmul(q, kt), scale).data
+    qk = tz.matmul(q, kt)
+    s = tz.mul(qk, Tensor(scale, dtype=qk.dtype)).data
     if mode == "softmax":
         if mask is not None:
             s = s + mask
@@ -417,14 +418,14 @@ class TestBackward:
         data = rng.standard_normal(5)
         x = Tensor(data, requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = tz.add(tz.tsum(tz.mul(x, x)), tz.tsum(tz.scale(x, 3.0)))
+            loss = tz.add(tz.tsum(tz.mul(x, x)), tz.tsum(tz.mul(x, Tensor(3.0))))
         backward(loss, tape)
 
         # same computation with two distinct copies of the input
         x1 = Tensor(data, requires_grad=True, dtype=np.float64)
         x2 = Tensor(data, requires_grad=True, dtype=np.float64)
         with Tape() as tape2:
-            loss2 = tz.add(tz.tsum(tz.mul(x1, x1)), tz.tsum(tz.scale(x2, 3.0)))
+            loss2 = tz.add(tz.tsum(tz.mul(x1, x1)), tz.tsum(tz.mul(x2, Tensor(3.0))))
         backward(loss2, tape2)
         np.testing.assert_allclose(x.grad, x1.grad + x2.grad)
 
