@@ -24,7 +24,6 @@ import numpy as np
 
 from . import evalmetrics, model, motiondata, training
 from .errors import ConfigError, NumericError
-from .so3 import DegenerateRotationError
 from .tensor import atomic_write
 
 EXIT_OK = 0
@@ -178,7 +177,7 @@ def cmd_train(args) -> int:
     try:
         result = training.train(params, cfg, tcfg, train_seqs, val_seqs)
         failure = None
-    except (NumericError, DegenerateRotationError) as err:  # keep the best parameters so far
+    except NumericError as err:  # keep the best parameters so far
         result, failure = err.result, err
     model.save_checkpoint(out("best.stt1"), cfg, result.params)
     training.write_history_csv(out("history.csv"), result.history)
@@ -216,10 +215,7 @@ def cmd_eval(args) -> int:
     windows = training.make_eval_windows([seq], args.n_windows, cfg.window + max_h, rng)
     seeds, truth = windows[:, :cfg.window], windows[:, cfg.window:]
 
-    if args.self_check:
-        pred = truth.copy()
-    else:
-        pred = model.rollout_batch(params, cfg, seeds, max_h)
+    pred = model.rollout_batch(params, cfg, seeds, max_h)
     zv = np.stack([model.zero_velocity(s, max_h) for s in seeds])
 
     report = evalmetrics.full_report(pred, truth, seq.skeleton, horizons, fps)
@@ -367,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated milliseconds")
     e.add_argument("--n-windows", type=_at_least(1), default=16, dest="n_windows")
     e.add_argument("--seed", type=_at_least(0), default=0)
-    e.add_argument("--self-check", action="store_true", dest="self_check",
-                   help="score targets against themselves (all metrics 0)")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_eval)
 
@@ -401,7 +395,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (NumericError, DegenerateRotationError) as err:  # the latter is a ValueError
+    except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, OSError, ValueError) as err:

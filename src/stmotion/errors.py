@@ -1,5 +1,7 @@
-"""Shared exception types and the field check of the config dataclasses."""
+"""Shared exception types, the field check of the config dataclasses and
+the one converter of malformed-file errors."""
 
+import contextlib
 import dataclasses
 
 
@@ -23,3 +25,15 @@ def check_fields(config, counts=()) -> None:
             raise ConfigError(f"{f.name} {value!r} must be {want.__name__}")
         if f.name in counts and value < 1:
             raise ConfigError(f"{f.name} {value!r} must be >= 1")
+
+
+@contextlib.contextmanager
+def file_errors(kind: str, path):
+    """Turn what a malformed file makes its parser raise into a one-line
+    ConfigError naming the file."""
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{kind} {path}: no {err} entry") from None
+    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as err:
+        raise ConfigError(f"{kind} {path}: {err}") from None

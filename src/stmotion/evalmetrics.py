@@ -9,7 +9,6 @@ in milliseconds and averaged over all frames up to each horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,22 +111,14 @@ def _pck_auc(err: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, flo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PSDistribution:
-    """Per-feature normalized power spectrum (features are joint coordinates)."""
-
-    spectra: np.ndarray   # (F, K), each row non-negative, sums to 1
-    window_len: int       # frames per window before zero-padding
-
-
-def ps_of_windows(windows, skeleton: Skeleton) -> PSDistribution:
-    """Power-spectrum distribution of joint-coordinate trajectories.
+def ps_of_windows(windows, skeleton: Skeleton) -> np.ndarray:
+    """Power-spectrum distribution (F, K) of joint-coordinate trajectories.
 
     Each window is a (T_w, N, 9) rotation sequence; it is converted to 3D
-    positions with forward kinematics, each of the 3N coordinate signals is
-    zero-padded to the next power of two and transformed, squared FFT
+    positions with forward kinematics, each of the F = 3N coordinate signals
+    is zero-padded to the next power of two K and transformed, squared FFT
     magnitudes are averaged over windows, and every feature's spectrum is
-    normalized to sum 1."""
+    normalized to sum 1 (an all-zero signal keeps an all-zero row)."""
     windows = [np.asarray(w) for w in windows]
     if not windows:
         raise ValueError("need at least one window")
@@ -143,13 +134,12 @@ def ps_of_windows(windows, skeleton: Skeleton) -> PSDistribution:
     mean = power.mean(axis=0)
     total = mean.sum(axis=-1, keepdims=True)
     total = np.where(total > 0, total, 1.0)
-    return PSDistribution(spectra=mean / total, window_len=t_w)
+    return mean / total
 
 
-def ps_entropy(dist: PSDistribution) -> float:
-    """Mean over features of the Shannon entropy of the normalized spectrum
-    (natural log, 0 log 0 := 0)."""
-    p = dist.spectra
+def ps_entropy(p: np.ndarray) -> float:
+    """Mean over features of the Shannon entropy of the (F, K) normalized
+    spectra (natural log, 0 log 0 := 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, -p * np.log(p), 0.0)
     return float(terms.sum(axis=-1).mean())
@@ -158,14 +148,14 @@ def ps_entropy(dist: PSDistribution) -> float:
 _KLD_EPS = 1e-10
 
 
-def ps_kld(reference: PSDistribution, prediction: PSDistribution) -> float:
-    """Symmetric KL divergence between power-spectrum distributions:
+def ps_kld(reference: np.ndarray, prediction: np.ndarray) -> float:
+    """Symmetric KL divergence between (F, K) power-spectrum distributions:
     (KLD(G||P) + KLD(P||G)) / 2, per feature, averaged over features.
     Both sides receive additive smoothing before renormalization."""
-    if reference.spectra.shape != prediction.spectra.shape:
+    if reference.shape != prediction.shape:
         raise ValueError("feature/bin count mismatch between distributions")
-    g = reference.spectra + _KLD_EPS
-    p = prediction.spectra + _KLD_EPS
+    g = reference + _KLD_EPS
+    p = prediction + _KLD_EPS
     g = g / g.sum(axis=-1, keepdims=True)
     p = p / p.sum(axis=-1, keepdims=True)
     kl_gp = (g * np.log(g / p)).sum(axis=-1)

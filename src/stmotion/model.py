@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, NumericError, check_fields
+from .errors import ConfigError, NumericError, check_fields, file_errors
 from .motiondata import JOINT_DIM
 from .so3 import project_to_so3
 from .tensor import Tensor
@@ -455,11 +455,8 @@ def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray
     Returns predictions (B, steps, N, M). When `maps_out` is given (a list,
     or the sink of `write_attention_csv`), each step's AttentionMaps
     (averaged over the batch) is appended to it."""
-    seeds = np.asarray(seeds, dtype=np.float32)
-    b, t_seed, n, m = seeds.shape
-    if t_seed > cfg.window:
-        raise ConfigError(f"seed length {t_seed} exceeds model window {cfg.window}")
-    win = seeds.copy()
+    win = np.asarray(seeds, dtype=np.float32)  # read, never written: each step makes a new one
+    b, _, n, m = win.shape
     out = np.empty((b, steps, n, m), dtype=np.float32)
     for s in range(steps):
         pred, maps, _ = forward(params, cfg, win, last_only=maps_out is None)
@@ -568,10 +565,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Read a checkpoint; its tensor names and shapes must be exactly those
     `init_params` makes for the header's config, else ConfigError."""
     header, arrays = tz.load_record(path)
-    try:
+    with file_errors("checkpoint", path):  # UTF-8, JSON, fields
         cfg = ModelConfig.from_json(header)
-    except (TypeError, ValueError, RecursionError) as err:  # UTF-8, JSON, fields
-        raise ConfigError(f"checkpoint {path}: config header: {err}") from None
     want = _param_shapes(cfg)
     for name in sorted(want.keys() | arrays.keys()):
         if name not in arrays:

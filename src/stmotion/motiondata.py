@@ -10,7 +10,6 @@ and spec files. Training windows are cut by `training.sample_batch`.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import so3
 from . import tensor as tz
-from .errors import ConfigError
+from .errors import ConfigError, file_errors
 
 JOINT_DIM = 9  # flattened 3x3 rotation per joint
 
@@ -46,9 +45,12 @@ class Skeleton:
         for name, row in zip(self.joint_names, self.offset):
             if not np.isfinite(row).all():
                 raise ValueError(f"offset of joint {name!r} must be finite, got {row.tolist()}")
+        repeated = sorted({j for j in self.joint_names if self.joint_names.count(j) > 1})
+        if repeated:
+            raise ValueError(f"joint names {repeated} are not unique")
         for i, p in enumerate(self.parent):
-            if p >= i:
-                raise ValueError("parents must be topologically ordered (parent[i] < i)")
+            if not -1 <= p < i:
+                raise ValueError(f"parent {p} of joint {i} must be -1 or an earlier joint")
         if not np.array_equal(self.mirror_pair[self.mirror_pair], np.arange(n)):
             raise ValueError("mirror_pair must be an involution")
 
@@ -151,9 +153,10 @@ class JointMotionSpec:
             raise ValueError(f"axis must be a 3-vector, got shape {self.axis.shape}")
         if not np.isfinite(self.axis).all():
             raise ValueError(f"axis must be finite, got {self.axis.tolist()}")
-        norm = np.linalg.norm(self.axis)
-        if norm == 0:
-            raise ValueError("axis must be nonzero")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(self.axis)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"axis must be nonzero with a finite norm, got {self.axis.tolist()}")
         self.axis = self.axis / norm
         if not abs(self.amplitude) < np.pi:
             raise ValueError(f"amplitude must be < pi, got {self.amplitude}")
@@ -244,18 +247,6 @@ def mirror_rotations(rotations: np.ndarray, skeleton: Skeleton) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _file_errors(kind: str, path):
-    """Turn what a malformed file makes its parser raise into a one-line
-    ConfigError naming the file."""
-    try:
-        yield
-    except KeyError as err:
-        raise ConfigError(f"{kind} {path}: no {err} entry") from None
-    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as err:
-        raise ConfigError(f"{kind} {path}: {err}") from None
-
-
 def save_motion(path, seq: MotionSequence):
     """A record (see `tensor.save_record`): the frame rate and the skeleton
     in the header, the rotations as the one tensor."""
@@ -268,7 +259,7 @@ def load_motion(path) -> MotionSequence:
     """Read what `save_motion` wrote; a bad or incomplete header, or rotations
     that do not fit the skeleton, are a ConfigError naming the file."""
     header, tensors = tz.load_record(path)
-    with _file_errors("motion file", path):
+    with file_errors("motion file", path):
         header = json.loads(header)
         rate = header["frame_rate"]
         if not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
@@ -277,7 +268,7 @@ def load_motion(path) -> MotionSequence:
 
 
 def skeleton_from_json(path) -> Skeleton:
-    with open(path) as fh, _file_errors("skeleton file", path):
+    with open(path) as fh, file_errors("skeleton file", path):
         return Skeleton(**json.load(fh))
 
 
@@ -285,7 +276,7 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
     """Load a per-joint sinusoid spec file; returns (specs, noise_std).
 
     Joints may be referenced by index or by name."""
-    with open(path) as fh, _file_errors("spec file", path):
+    with open(path) as fh, file_errors("spec file", path):
         d = json.load(fh)
         specs = []
         for item in d["joints"]:

@@ -18,8 +18,10 @@ import warnings
 
 import numpy as np
 
+from .errors import NumericError
 
-class DegenerateRotationError(ValueError):
+
+class DegenerateRotationError(NumericError, ValueError):
     """Input too rank-deficient to project onto a rotation."""
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import io
 import math
 import os
@@ -495,16 +496,23 @@ _MAGIC = b"STT1"
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file next to `path` for writing; on a clean exit it
     replaces `path` with `os.replace`, on an exception it is removed and
-    `path` keeps its old contents. A failed open names `path`."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    `path` keeps its old contents. A directory at `path` is refused before
+    anything is written; a failed open or replace names `path`."""
+    name = os.fspath(path)
+    tmp = f"{name}.{os.getpid()}.tmp"
     try:
+        if os.path.isdir(name):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fh = open(tmp, mode)
     except OSError as err:
-        raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+        raise OSError(err.errno, err.strerror, name) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, name)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, name) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

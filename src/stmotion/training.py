@@ -19,7 +19,6 @@ from . import evalmetrics, tensor as tz
 from .errors import ConfigError, NumericError, check_fields
 from .model import ModelConfig, forward, rollout_batch
 from .motiondata import JOINT_DIM, MotionSequence, mirror_rotations
-from .so3 import DegenerateRotationError
 from .tensor import Tape, Tensor, backward
 
 
@@ -199,8 +198,8 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
           train_seqs: list[MotionSequence], val_seqs: list[MotionSequence]) -> TrainResult:
     """Run the full training loop; deterministic given the config seed.
 
-    Raises NumericError on non-finite values in training or validation, and
-    DegenerateRotationError on a rank-deficient validation frame; either
+    Raises NumericError on non-finite values in training or validation, or on
+    a rank-deficient validation frame (so3.DegenerateRotationError); it
     carries the best checkpoint so far in its ``result`` attribute."""
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState(params)
@@ -248,7 +247,7 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
             result.history.append(row)
             if since_best >= tcfg.patience:
                 break
-    except (NumericError, DegenerateRotationError) as err:
+    except NumericError as err:
         err.result = result
         raise
     return result

@@ -96,8 +96,14 @@ class TestSynth:
          "axis must be finite, got [0.0, nan, 1.0]"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": -math.inf}]},
          "frequency must be finite, got -inf"),
+        ({"joints": [{"joint": 1, "axis": [1e308, 1e308, 0], "amplitude": 0.3,
+                      "frequency": 1.0}]},
+         "axis must be nonzero with a finite norm, got [1e+308, 1e+308, 0.0]"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 0], "amplitude": 0.3, "frequency": 1.0}]},
+         "axis must be nonzero with a finite norm, got [0.0, 0.0, 0.0]"),
     ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise",
-            "large_amplitude", "nan_phase", "inf_phase", "nan_axis", "minus_inf_frequency"])
+            "large_amplitude", "nan_phase", "inf_phase", "nan_axis", "minus_inf_frequency",
+            "overflowing_axis", "zero_axis"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -120,6 +126,26 @@ class TestSynth:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"skeleton file {path}: offset of joint 'head' must be finite" \
             in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("parent", [-1, 0, 1, 1, 3, 1, 5, 0, -7],
+         "parent -7 of joint 8 must be -1 or an earlier joint"),
+        ("parent", [-1, 0, 1, 1, 3, 1, 5, 0, 8],
+         "parent 8 of joint 8 must be -1 or an earlier joint"),
+        ("joint_names", ["root", "spine", "head", "l_collar", "l_arm", "r_collar", "r_arm",
+                         "leg", "leg"], "joint names ['leg'] are not unique"),
+    ], ids=["negative_parent", "own_parent", "repeated_name"])
+    def test_bad_skeleton_file_is_usage_error(self, tmp_path, capsys, field, value, named):
+        sk = motiondata.default_skeleton()
+        fields = {"joint_names": sk.joint_names, "parent": sk.parent.tolist(),
+                  "offset": sk.offset.tolist(), "mirror_pair": sk.mirror_pair.tolist()}
+        path, out = tmp_path / "skel.json", tmp_path / "m.stm1"
+        path.write_text(json.dumps({**fields, field: value}))
+        assert cli.main(["synth", "--frames", "10", "--skeleton", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: skeleton file {path}: {named}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -410,17 +436,6 @@ class TestEval:
             lines = path.read_text().strip().split("\n")
             assert lines[0] == "horizon_ms,euler,geodesic,positional_mm,pck_auc"
             assert len(lines) == 3
-
-    def test_self_check_scores_zero(self, workdir, tmp_path):
-        out = tmp_path / "self.csv"
-        assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
-                         "--checkpoint", str(workdir / "run" / "best.stt1"),
-                         "--horizons", "100", "--n-windows", "2",
-                         "--self-check", "--out", str(out)]) == 0
-        row = out.read_text().strip().split("\n")[1].split(",")
-        assert float(row[2]) < 1e-3   # geodesic
-        assert float(row[3]) < 1e-3   # positional mm
-        assert float(row[4]) == 100.0  # pck auc
 
     def test_bad_checkpoint_path(self, workdir, tmp_path):
         assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
@@ -981,7 +996,7 @@ class TestFileFormats:
                       f"motion file {ckpt}: no 'frame_rate' entry"),
             "eval": (["eval", "--data", data, "--checkpoint", data,
                       "--out", str(tmp_path / "m.csv")],
-                     f"checkpoint {data}: config header: model config has unknown keys"),
+                     f"checkpoint {data}: model config has unknown keys"),
             "rollout": (["rollout", "--checkpoint", ckpt, "--seed-file", ckpt,
                          "--seconds", "0.05", "--out", str(tmp_path / "p.stm1")],
                         f"motion file {ckpt}: no 'frame_rate' entry"),
@@ -1026,11 +1041,22 @@ class TestFileFormats:
         assert len(err) == 1 and "a_directory" in err[0]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a_directory"]
 
-    @pytest.mark.parametrize("command", ["synth", "eval", "rollout"])
+    @pytest.mark.parametrize("command, target", [
+        ("synth", "missing_dir"), ("eval", "missing_dir"), ("rollout", "missing_dir"),
+        ("synth", "directory"), ("eval", "directory"), ("rollout", "directory"),
+    ], ids=["synth", "eval", "rollout", "synth_directory", "eval_directory",
+            "rollout_directory"])
     def test_write_error_names_the_given_path(self, workdir, small_motion, tmp_path, capsys,
-                                              command):
+                                              command, target):
         # the write goes through a temporary file, a name the user never gave
-        out, ckpt = tmp_path / "nodir" / "x.out", str(workdir / "run" / "best.stt1")
+        ckpt = str(workdir / "run" / "best.stt1")
+        if target == "directory":
+            out = tmp_path / "adir"
+            out.mkdir()
+            named = f"error: [Errno 21] Is a directory: '{out}'"
+        else:
+            out = tmp_path / "nodir" / "x.out"
+            named = f"error: [Errno 2] No such file or directory: '{out}'"
         argv = {"synth": ["synth", "--frames", "40", "--out", str(out)],
                 "eval": ["eval", "--data", str(workdir / "data.stm1"), "--checkpoint", ckpt,
                          "--horizons", "100", "--n-windows", "2", "--out", str(out)],
@@ -1039,7 +1065,10 @@ class TestFileFormats:
                             "--dump-attention", str(out)]}[command]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: [Errno 2] No such file or directory: '{out}'"]
+        assert err == [named]
+        # no output, no temporary file: only the directory that was given, still empty
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == (["adir"] if target == "directory" else [])
 
     def test_degenerate_rollout_is_a_numeric_failure(self, workdir, tmp_path, capsys):
         cfg, params = model.load_checkpoint(workdir / "run" / "best.stt1")

@@ -131,30 +131,29 @@ class TestPowerSpectrum:
     def test_distribution_normalized(self):
         sk, rots = rot_seq(60)
         dist = ev.ps_of_windows([rots[:30], rots[30:]], sk)
-        assert dist.spectra.shape == (3 * sk.n_joints, 32)
-        assert np.all(dist.spectra >= 0)
+        assert dist.shape == (3 * sk.n_joints, 32)
+        assert np.all(dist >= 0)
         # rows are normalized to sum 1; identically-zero signals (the root
         # joint's pinned coordinates) keep an all-zero row
-        sums = dist.spectra.sum(axis=-1)
+        sums = dist.sum(axis=-1)
         assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
         assert (np.abs(sums - 1.0) < 1e-9).sum() >= 3 * (sk.n_joints - 1)
 
     def test_entropy_uniform_is_log_k(self):
         k = 16
-        dist = ev.PSDistribution(np.full((4, k), 1.0 / k), window_len=k)
+        dist = np.full((4, k), 1.0 / k)
         assert abs(ev.ps_entropy(dist) - np.log(k)) < 1e-12
 
     def test_entropy_delta_is_zero(self):
         spectra = np.zeros((2, 8))
         spectra[:, 3] = 1.0
-        assert ev.ps_entropy(ev.PSDistribution(spectra, 8)) == 0.0
+        assert ev.ps_entropy(spectra) == 0.0
 
     def test_entropy_ordering(self):
         # flatter spectrum has strictly higher entropy
         peaked = np.array([[0.9, 0.05, 0.03, 0.02]])
         flat = np.array([[0.3, 0.3, 0.2, 0.2]])
-        assert ev.ps_entropy(ev.PSDistribution(flat, 4)) > \
-            ev.ps_entropy(ev.PSDistribution(peaked, 4))
+        assert ev.ps_entropy(flat) > ev.ps_entropy(peaked)
 
     def test_pure_tone_concentrates_at_its_bin(self):
         # only l_collar swings about z, by a small angle at 4 cycles per 32
@@ -168,10 +167,10 @@ class TestPowerSpectrum:
             angle = 0.05 * np.sin(2 * np.pi * k * f / t)
             rots[f, j] = so3.rotmat_from_angleaxis([0, 0, angle]).reshape(9)
         dist = ev.ps_of_windows([rots], sk)
-        moving = dist.spectra[:, 1:].sum(axis=-1) > 1e-6   # rows with power off DC
+        moving = dist[:, 1:].sum(axis=-1) > 1e-6   # rows with power off DC
         assert moving.any()
-        tone = dist.spectra[moving][:, [k, t - k]].sum(axis=-1)
-        off_dc = dist.spectra[moving][:, 1:].sum(axis=-1)
+        tone = dist[moving][:, [k, t - k]].sum(axis=-1)
+        off_dc = dist[moving][:, 1:].sum(axis=-1)
         assert np.all(tone > 0.99 * off_dc)
 
     def test_static_pose_concentrates_at_dc(self):
@@ -195,8 +194,8 @@ class TestPowerSpectrum:
         assert ev.ps_kld(da, db) > 0
 
     def test_kld_hand_computed(self):
-        g = ev.PSDistribution(np.array([[0.5, 0.5]]), 2)
-        p = ev.PSDistribution(np.array([[0.25, 0.75]]), 2)
+        g = np.array([[0.5, 0.5]])
+        p = np.array([[0.25, 0.75]])
         # symmetric KL of the smoothed distributions; smoothing is tiny so
         # compare against the unsmoothed closed form loosely
         expect = 0.5 * (0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
@@ -204,8 +203,8 @@ class TestPowerSpectrum:
         assert abs(ev.ps_kld(g, p) - expect) < 1e-6
 
     def test_kld_shape_mismatch(self):
-        g = ev.PSDistribution(np.full((1, 4), 0.25), 4)
-        p = ev.PSDistribution(np.full((1, 8), 0.125), 8)
+        g = np.full((1, 4), 0.25)
+        p = np.full((1, 8), 0.125)
         with pytest.raises(ValueError):
             ev.ps_kld(g, p)
 

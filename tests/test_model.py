@@ -540,6 +540,14 @@ class TestRollout:
         with pytest.raises(ConfigError):
             mo.rollout(params, cfg, np.zeros((9, 3, 9), np.float32), 1)
 
+    @pytest.mark.parametrize("maps", [None, []], ids=["last_only", "with_maps"])
+    def test_seed_window_is_never_written(self, maps):
+        cfg = tiny_cfg()
+        params = mo.init_params(cfg, np.random.default_rng(25))
+        seeds = rand_window(cfg, b=2, t=cfg.window, seed=25)
+        seeds.flags.writeable = False  # a write into the caller's window raises
+        mo.rollout_batch(params, cfg, seeds, 3, maps)
+
     def test_collect_attention(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(24))

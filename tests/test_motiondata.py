@@ -236,7 +236,7 @@ class TestFileFormats:
 
     @settings(max_examples=40, deadline=None)
     @given(frame_rate=st.floats(1e-3, 1e4).filter(lambda f: float(np.float32(f)) != f),
-           names=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4),
+           names=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
            n_frames=st.integers(1, 5))
     def test_motion_roundtrip_is_exact(self, tmp_path_factory, frame_rate, names, n_frames):
         n = len(names)
