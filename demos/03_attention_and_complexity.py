@@ -32,7 +32,7 @@ def fresh(cfg):
 for variant in ("st", "vanilla_1d", "full_2d"):
     cfg = mo.ModelConfig(n_joints=N, embed_dim=16, n_heads=2, n_layers=2,
                          ff_size=32, window=T, dropout=0.0, variant=variant)
-    _, maps, stats = mo.forward(fresh(cfg), cfg, window)
+    _, maps, stats = mo.forward(fresh(cfg), cfg, window, maps=True)
     tmap = maps.temporal[0]            # (H, T, T), layer 0
     upper = float(np.abs(np.triu(tmap, k=1)).max())
     row_sums = tmap.sum(axis=-1)

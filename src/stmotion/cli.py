@@ -220,10 +220,12 @@ def cmd_eval(args) -> int:
 
     report = evalmetrics.full_report(pred, truth, seq.skeleton, horizons, fps)
     zv_report = evalmetrics.full_report(zv, truth, seq.skeleton, horizons, fps)
-    evalmetrics.write_metric_csv(args.out, report)
     root, ext = os.path.splitext(args.out)
     zv_path = f"{root}_zero_velocity{ext or '.csv'}"
-    evalmetrics.write_metric_csv(zv_path, zv_report)
+    # one guard for both reports: a failure leaves neither file
+    with atomic_write(args.out) as fh, atomic_write(zv_path) as zv_fh:
+        evalmetrics.write_metric_csv(fh, report)
+        evalmetrics.write_metric_csv(zv_fh, zv_report)
     for h in horizons:
         print(f"{h:.0f} ms: geodesic {report[h]['geodesic']:.5f} "
               f"(zero-velocity {zv_report[h]['geodesic']:.5f})")

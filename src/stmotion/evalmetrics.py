@@ -15,7 +15,6 @@ import numpy as np
 from . import so3
 from .errors import ConfigError
 from .motiondata import JOINT_DIM, Skeleton, fk_positions
-from .tensor import atomic_write
 
 
 def _promote(x) -> np.ndarray:
@@ -190,14 +189,14 @@ def longterm_eval(prediction, skeleton: Skeleton, reference_windows,
     return seconds, klds, ents
 
 
-def write_metric_csv(path, report: dict[float, dict[str, float]]):
-    """`horizon_ms,euler,geodesic,positional_mm,pck_auc` rows."""
-    with atomic_write(path) as fh:
-        fh.write("horizon_ms,euler,geodesic,positional_mm,pck_auc\n")
-        for h in sorted(report):
-            r = report[h]
-            fh.write(f"{h},{r['euler']!r},{r['geodesic']!r},"
-                     f"{r['positional_mm']!r},{r['pck_auc']!r}\n")
+def write_metric_csv(fh, report: dict[float, dict[str, float]]):
+    """`horizon_ms,euler,geodesic,positional_mm,pck_auc` rows, to an open
+    text file."""
+    fh.write("horizon_ms,euler,geodesic,positional_mm,pck_auc\n")
+    for h in sorted(report):
+        r = report[h]
+        fh.write(f"{h},{r['euler']!r},{r['geodesic']!r},"
+                 f"{r['positional_mm']!r},{r['pck_auc']!r}\n")
 
 
 def full_report(pred, target, skeleton: Skeleton, horizons_ms, frame_rate: float):

@@ -333,7 +333,8 @@ def _last_block_frames(t: int) -> int:
 
 
 def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
-            rng: np.random.Generator | None = None, last_only: bool = False):
+            rng: np.random.Generator | None = None, last_only: bool = False,
+            maps: bool = False):
     """Predict the next pose for every position of the input window.
 
     window: (B, T, N, M) or (T, N, M) flattened rotations, T <= cfg.window.
@@ -342,15 +343,18 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     plus a learned delta). A pass given an rng is a training pass: it applies
     dropout, drawing its masks from the rng; without one it applies none.
 
+    maps: compute the AttentionMaps, each layer's weights averaged as that
+    class says; without it they are empty. They are read-outs only: the
+    predictions and gradients are the same either way.
+
     last_only: an inference pass for autoregressive rollouts, which read only
     the last position. The predictions are that frame's alone, (B, 1, N, M)
-    or (1, N, M), and the AttentionMaps are empty (no map means are
-    computed). For st the last block computes its temporal keys and values
+    or (1, N, M). For st the last block computes its temporal keys and values
     over all T frames and everything else on its last few frames only
     (see `_last_block_frames`); the result equals the full pass's bit for
     bit, and ForwardStats counts what was computed. The other variants run
-    the full pass. Raises ConfigError with an rng: the sliced tensors carry
-    no gradient.
+    the full pass. Raises ConfigError with an rng (the sliced tensors carry
+    no gradient) or with maps (the trimmed block has no full maps).
     """
     x = np.asarray(window)
     squeeze = x.ndim == 3
@@ -364,11 +368,13 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         raise ConfigError(f"window length {t} exceeds configured maximum {cfg.window}")
     if rng is not None and last_only:
         raise ConfigError("last_only is an inference pass; it cannot train")
+    if maps and last_only:
+        raise ConfigError("last_only computes no attention maps")
 
     dtype = params["embed.w"].data.dtype
     x = x.astype(dtype, copy=False)
     d = cfg.embed_dim
-    maps = AttentionMaps()
+    out_maps = AttentionMaps()
     xt = Tensor(x)
     tq = _last_block_frames(t) if last_only and cfg.variant == "st" else t
 
@@ -394,25 +400,25 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
                 eq, ejq = Tensor(e.data[:, t - tq:]), Tensor(ej.data[:, :, t - tq:])
             t_out, t_w = _temporal_stream(ej, params, pre, cfg, ejq)
             s_out, s_w = _token_attention(eq, params, pre + "s.", cfg, None, ejq)
-            if not last_only:
+            if maps:
                 # (N, H, B, T, T) -> (H, T, T), averaged over joints and batch
-                maps.temporal.append(t_w.mean(axis=(0, 2)))
-                maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
+                out_maps.temporal.append(t_w.mean(axis=(0, 2)))
+                out_maps.spatial.append(s_w.mean(axis=(0, 1)))  # (H, N, N)
             e = _aggregate(eq, [t_out, s_out], params, pre, cfg, rng)
         elif cfg.variant == "vanilla_1d":
             a_out, w = _token_attention(e, params, pre + "a.", cfg, _causal_mask(t, 1))
-            if not last_only:
-                maps.temporal.append(w.mean(axis=0))  # (H, T, T)
+            if maps:
+                out_maps.temporal.append(w.mean(axis=0))  # (H, T, T)
             e = _aggregate(e, [a_out], params, pre, cfg, rng)
         else:  # full_2d
             a_out, w = _token_attention(tz.reshape(e, (b, t * n, d)), params, pre + "a.", cfg,
                                         _causal_mask(t, n))
             a_out = tz.reshape(a_out, (b, t, n, d))
-            if not last_only:
+            if maps:
                 # (B, H, T, N, T, N): sum over attended axis, average the rest
                 w6 = w.reshape(w.shape[0], w.shape[1], t, n, t, n)
-                maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
-                maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
+                out_maps.temporal.append(w6.sum(axis=5).mean(axis=(0, 3)))
+                out_maps.spatial.append(w6.sum(axis=4).mean(axis=(0, 2)))
             e = _aggregate(e, [a_out], params, pre, cfg, rng)
         if not np.all(np.isfinite(e.data)):
             raise NumericError(f"non-finite embeddings after attention block {l}")
@@ -433,7 +439,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         pred = Tensor(pred.data[:, -1:])
     if squeeze:
         pred = tz.reshape(pred, pred.data.shape[1:])
-    return pred, maps, _forward_stats(cfg, b, t, tq)
+    return pred, out_maps, _forward_stats(cfg, b, t, tq)
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
@@ -459,7 +465,8 @@ def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray
     b, _, n, m = win.shape
     out = np.empty((b, steps, n, m), dtype=np.float32)
     for s in range(steps):
-        pred, maps, _ = forward(params, cfg, win, last_only=maps_out is None)
+        pred, maps, _ = forward(params, cfg, win, last_only=maps_out is None,
+                                maps=maps_out is not None)
         if maps_out is not None:
             maps_out.append(maps)
         nxt = pred.data[:, -1]

@@ -202,7 +202,8 @@ def is_valid_rotmat(R, tol: float = 1e-5) -> np.ndarray:
     R = _f64(R)
     gram = np.swapaxes(R, -1, -2) @ R
     dev = np.abs(gram - np.eye(3)).max(axis=(-1, -2))
-    det = np.linalg.det(R)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # LU of subnormal rows
+        det = np.linalg.det(R)
     return (dev <= tol) & (np.abs(det - 1.0) <= tol)
 
 

@@ -175,13 +175,15 @@ def test_criterion_2_causality():
         params = lively_params(cfg, rng)
         for _ in range(100):
             x = random_window(cfg, t, rng)
-            base, maps, _ = mo.forward(params, cfg, x)
+            base, maps, _ = mo.forward(params, cfg, x, maps=True)
             cut = int(rng.integers(1, t))
             y = x.copy()
             y[cut:] = random_window(cfg, t - cut, rng)
             pert, _, _ = mo.forward(params, cfg, y)
             if not np.array_equal(base.data[:cut], pert.data[:cut]):
                 ok = False
+        if len(maps.temporal) != cfg.n_layers:
+            ok = False
         for m in maps.temporal:
             if np.any(np.triu(m, k=1) != 0.0):
                 ok = False
@@ -203,7 +205,10 @@ def test_criterion_3_attention_validity():
                                  ff_size=16, window=8, dropout=0.0,
                                  variant=variant, tau_mode=tau)
             params = lively_params(cfg, rng)
-            _, maps, _ = mo.forward(params, cfg, random_window(cfg, 8, rng))
+            _, maps, _ = mo.forward(params, cfg, random_window(cfg, 8, rng), maps=True)
+            spatial_layers = 0 if variant == "vanilla_1d" else cfg.n_layers
+            if (len(maps.temporal), len(maps.spatial)) != (cfg.n_layers, spatial_layers):
+                ok = False
             for m in maps.temporal + maps.spatial:
                 if np.any(m < 0) or np.abs(m.sum(axis=-1) - 1.0).max() > 1e-5:
                     ok = False

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -437,6 +438,16 @@ class TestEval:
             assert lines[0] == "horizon_ms,euler,geodesic,positional_mm,pck_auc"
             assert len(lines) == 3
 
+    def test_failed_baseline_write_leaves_no_report(self, workdir, tmp_path, capsys):
+        (tmp_path / "m_zero_velocity.csv").mkdir()
+        assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
+                         "--checkpoint", str(workdir / "run" / "best.stt1"),
+                         "--horizons", "100", "--n-windows", "2",
+                         "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "m_zero_velocity.csv" in err[0], err
+        assert [f.name for f in tmp_path.iterdir()] == ["m_zero_velocity.csv"]
+
     def test_bad_checkpoint_path(self, workdir, tmp_path):
         assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
                          "--checkpoint", str(tmp_path / "nope.stt1"),
@@ -538,6 +549,30 @@ class TestRollout:
         assert lines[0] == "step,layer,head,kind,row,col,weight"
         steps = {int(line.split(",")[0]) for line in lines[1:]}
         assert steps == {0, 1, 2}  # 0.05 s at 60 fps
+
+    @pytest.mark.parametrize("variant, digest", [
+        ("st", "75c7529f3041809a1954885a110103acb4f0bec6ef1351c5a3dbff72f532a27b"),
+        ("vanilla_1d", "bc1272a1d9a23a1e1ff079774ab81fd5d4a3dcc16a8082eff8f435c9646b5b16"),
+        ("full_2d", "47aebb475c3e3a6c6b2ef27fc56eded263ed0c034572bf05ecf2ff055b62b1ec")])
+    def test_attention_dump_is_unchanged(self, workdir, tmp_path, variant, digest):
+        # the maps are read-outs: a fixed checkpoint's CSV keeps its digest,
+        # recorded when every full forward computed them (x86-64 with
+        # numpy 2.4's bundled OpenBLAS)
+        cfg = model.ModelConfig(embed_dim=8, n_heads=2, n_layers=2, ff_size=16, window=8,
+                                dropout=0.0, variant=variant)
+        rng = np.random.default_rng(70)
+        params = model.init_params(cfg, rng)
+        params["out.w"].data[...] = 0.05 * rng.standard_normal(
+            params["out.w"].data.shape).astype(np.float32)
+        model.save_checkpoint(tmp_path / "c.stt1", cfg, params)
+        seq = motiondata.load_motion(workdir / "data.stm1")
+        motiondata.save_motion(tmp_path / "seed.stm1", motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:8], seq.frame_rate))
+        att = tmp_path / "att.csv"
+        assert cli.main(["rollout", "--checkpoint", str(tmp_path / "c.stt1"),
+                         "--seed-file", str(tmp_path / "seed.stm1"), "--seconds", "0.05",
+                         "--out", str(tmp_path / "p.stm1"), "--dump-attention", str(att)]) == 0
+        assert hashlib.sha256(att.read_bytes()).hexdigest() == digest
 
     def test_out_and_dump_attention_must_differ(self, workdir, tmp_path, capsys, monkeypatch):
         def read(*args, **kwargs):

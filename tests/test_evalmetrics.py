@@ -258,7 +258,8 @@ class TestCsvWriters:
         _, pred = rot_seq(30, seed=7)
         report = ev.full_report(pred, rots, sk, [80.0, 400.0], 60.0)
         p = tmp_path / "metrics.csv"
-        ev.write_metric_csv(p, report)
+        with open(p, "w") as fh:
+            ev.write_metric_csv(fh, report)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "horizon_ms,euler,geodesic,positional_mm,pck_auc"
         assert len(lines) == 3

@@ -137,7 +137,8 @@ class TestCausality:
         for tau in ("softmax", "sum_normalize"):
             cfg = tiny_cfg(tau_mode=tau)
             params = mo.init_params(cfg, np.random.default_rng(2))
-            _, maps, _ = mo.forward(params, cfg, rand_window(cfg))
+            _, maps, _ = mo.forward(params, cfg, rand_window(cfg), maps=True)
+            assert len(maps.temporal) == cfg.n_layers
             for w in maps.temporal:
                 upper = w[:, np.triu_indices(w.shape[1], k=1)[0],
                           np.triu_indices(w.shape[1], k=1)[1]]
@@ -150,7 +151,9 @@ class TestAttentionMaps:
     def test_rows_stochastic(self, variant, tau):
         cfg = tiny_cfg(variant=variant, tau_mode=tau)
         params = mo.init_params(cfg, np.random.default_rng(3))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg), maps=True)
+        assert len(maps.temporal) == cfg.n_layers
+        assert len(maps.spatial) == (cfg.n_layers if variant == "st" else 0)
         for w in maps.temporal + maps.spatial:
             assert np.all(w >= 0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
@@ -158,7 +161,7 @@ class TestAttentionMaps:
     def test_full_2d_derived_maps_stochastic(self):
         cfg = tiny_cfg(variant="full_2d")
         params = mo.init_params(cfg, np.random.default_rng(4))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg), maps=True)
         assert len(maps.temporal) == len(maps.spatial) == cfg.n_layers
         for w in maps.temporal + maps.spatial:
             assert np.all(w >= 0)
@@ -167,7 +170,7 @@ class TestAttentionMaps:
     def test_shapes(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(5))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=6))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=6), maps=True)
         assert maps.temporal[0].shape == (cfg.n_heads, 6, 6)
         assert maps.spatial[0].shape == (cfg.n_heads, cfg.n_joints, cfg.n_joints)
 
@@ -469,7 +472,8 @@ class TestSharingAblations:
     def test_forward_works_and_stochastic(self, sharing):
         cfg = tiny_cfg(spatial_sharing=sharing)
         params = mo.init_params(cfg, np.random.default_rng(18))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg), maps=True)
+        assert len(maps.spatial) == cfg.n_layers
         for w in maps.spatial:
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
 
@@ -556,7 +560,7 @@ class TestRollout:
         out = mo.rollout(params, cfg, seed, 3, maps)
         assert out.shape == (3, cfg.n_joints, JOINT_DIM)
         assert len(maps) == 3
-        first = mo.forward(params, cfg, seed)[1]
+        first = mo.forward(params, cfg, seed, maps=True)[1]
         assert len(maps[0].temporal) == len(maps[0].spatial) == cfg.n_layers
         for got, want in zip(maps[0].temporal + maps[0].spatial,
                              first.temporal + first.spatial):
@@ -635,6 +639,48 @@ class TestLastOnly:
         with pytest.raises(ConfigError, match="last_only"):
             mo.forward(params, cfg, rand_window(cfg), rng=np.random.default_rng(0),
                        last_only=True)
+
+
+class TestMapsOnRequest:
+    """forward computes the AttentionMaps only when asked (maps=True); they
+    are read-outs, so asking changes no prediction and no gradient."""
+
+    @pytest.mark.parametrize("variant", mo.VARIANTS)
+    @pytest.mark.parametrize("tau", mo.TAU_MODES)
+    def test_default_pass_has_empty_maps_and_the_same_predictions(self, variant, tau):
+        cfg = tiny_cfg(variant=variant, tau_mode=tau)
+        params, _ = TestLastOnly._params(cfg, 64)
+        x = rand_window(cfg, seed=64)
+        pred, maps, stats = mo.forward(params, cfg, x)
+        assert maps == mo.AttentionMaps()
+        with_maps, asked, asked_stats = mo.forward(params, cfg, x, maps=True)
+        assert len(asked.temporal) == cfg.n_layers
+        np.testing.assert_array_equal(pred.data, with_maps.data)
+        assert stats == asked_stats
+
+    @pytest.mark.parametrize("variant", mo.VARIANTS)
+    def test_training_gradients_are_the_same(self, variant):
+        from stmotion.training import loss_per_joint_l2
+        cfg = tiny_cfg(variant=variant, dropout=0.1)
+        params, _ = TestLastOnly._params(cfg, 65)
+        x, target = rand_window(cfg, seed=65), rand_window(cfg, seed=66)
+        grads = []
+        for maps in (False, True):
+            for prm in params.values():
+                prm.zero_grad()
+            with Tape() as tape:
+                pred, _, _ = mo.forward(params, cfg, x, rng=np.random.default_rng(67), maps=maps)
+                loss = loss_per_joint_l2(pred, target)
+            backward(loss, tape)
+            grads.append({k: prm.grad.copy() for k, prm in params.items()})
+        for name in params:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
+
+    def test_last_only_with_maps_is_rejected(self):
+        cfg = tiny_cfg()
+        params = mo.init_params(cfg, np.random.default_rng(68))
+        with pytest.raises(ConfigError, match="last_only computes no attention maps"):
+            mo.forward(params, cfg, rand_window(cfg), last_only=True, maps=True)
 
 
 class TestForwardValidation:
@@ -742,7 +788,7 @@ class TestCheckpoint:
     def test_attention_csv_with_steps(self, tmp_path):
         cfg = tiny_cfg(n_layers=1)
         params = mo.init_params(cfg, np.random.default_rng(32))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=4))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=4), maps=True)
         p = tmp_path / "att.csv"
         with mo.write_attention_csv(p) as sink:
             sink.append(maps)
@@ -816,14 +862,14 @@ class TestSpecHandCases:
     def test_temporal_map_single_frame(self):
         cfg = tiny_cfg(n_layers=1)
         params = mo.init_params(cfg, np.random.default_rng(40))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=1))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg, t=1), maps=True)
         np.testing.assert_allclose(maps.temporal[0], 1.0)
 
     def test_spatial_map_single_joint(self):
         cfg = mo.ModelConfig(n_joints=1, embed_dim=8, n_heads=2, n_layers=1,
                              ff_size=8, window=8, dropout=0.0)
         params = mo.init_params(cfg, np.random.default_rng(41))
-        _, maps, _ = mo.forward(params, cfg, rand_window(cfg))
+        _, maps, _ = mo.forward(params, cfg, rand_window(cfg), maps=True)
         np.testing.assert_allclose(maps.spatial[0], 1.0)
 
     def test_full_2d_single_joint_matches_temporal_stream(self):

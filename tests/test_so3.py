@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stmotion import so3
 
@@ -243,6 +243,9 @@ class TestProperties:
         np.testing.assert_array_equal(so3.project_to_so3(p), p)
 
     @given(rotations, rotations, st.lists(st.floats(0, 10), min_size=2, max_size=2))
+    @example(u=so3.rotmat_from_quat(np.array([0.0, 0.0, 1.0, 2.22507386e-309])),
+             v=so3.rotmat_from_quat(np.array([0.0, 1.0, 1.0, 2.0]) / np.sqrt(6.0)),
+             s=[0.0, 1.0])  # a subnormal row: det's LU divides by zero
     def test_projection_rejects_rank_two_or_less(self, u, v, s):
         with pytest.raises(so3.DegenerateRotationError):
             so3.project_to_so3(matrix(u, np.array(s + [0.0]), v))
