@@ -74,8 +74,8 @@ def _check_joints(cfg, source: str, seq, data: str):
 
 
 def _parse_config_file(path) -> dict:
-    """Flat `key = value` lines with `#` comments."""
-    out = {}
+    """Flat `key = value` lines with `#` comments; each key at most once."""
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -84,6 +84,9 @@ def _parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             out[key] = _coerce(value)
     return out
 
@@ -107,12 +110,9 @@ def _build_configs(args, n_joints: int):
     unknown = set(file_cfg) - mfields - tfields
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # flags override file values; --tau sum is the sum_normalize mode
-    flags = {"variant": args.variant, "spatial_sharing": args.spatial_sharing,
-             "tau_mode": "sum_normalize" if args.tau == "sum" else args.tau,
-             "max_steps": args.steps, "seed": args.seed,
-             "batch_size": args.batch_size, "warmup": args.warmup}
-    kw = {"n_joints": n_joints, **file_cfg, **{k: v for k, v in flags.items() if v is not None}}
+    # each train flag's dest is its config key; a flag given overrides the file
+    flags = {k: v for k, v in vars(args).items() if k in mfields | tfields and v is not None}
+    kw = {"n_joints": n_joints, **file_cfg, **flags}
     return (model.ModelConfig(**{k: v for k, v in kw.items() if k in mfields}),
             training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
@@ -348,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="flat key = value config file")
     t.add_argument("--out-dir", required=True, dest="out_dir")
     t.add_argument("--variant", choices=model.VARIANTS)
-    t.add_argument("--tau", choices=("softmax", "sum"))
+    t.add_argument("--tau", choices=model.TAU_MODES, dest="tau_mode")
     t.add_argument("--sharing", choices=model.SHARING_MODES, dest="spatial_sharing")
-    t.add_argument("--steps", type=_at_least(1))
+    t.add_argument("--steps", type=_at_least(1), dest="max_steps")
     t.add_argument("--seed", type=_at_least(0))
     t.add_argument("--batch-size", type=_at_least(1), dest="batch_size")
     t.add_argument("--warmup", type=_at_least(1))

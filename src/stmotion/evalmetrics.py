@@ -39,7 +39,8 @@ def _mats(x: np.ndarray) -> np.ndarray:
 
 
 def horizon_frames(horizons_ms, frame_rate: float) -> list[int]:
-    return [max(1, round(h / 1000.0 * frame_rate)) for h in horizons_ms]
+    """The frames scored up to each horizon, by `span_frames`' rule."""
+    return [span_frames("horizon", h, frame_rate, per_second=1000.0) for h in horizons_ms]
 
 
 def span_frames(name: str, value: float, fps: float, per_second: float = 1.0) -> int:

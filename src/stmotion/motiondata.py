@@ -262,7 +262,7 @@ def load_motion(path) -> MotionSequence:
     with file_errors("motion file", path):
         header = json.loads(header)
         rate = header["frame_rate"]
-        if not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
             raise ValueError(f"frame_rate {rate!r} is not a positive number")
         return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
 

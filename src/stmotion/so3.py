@@ -214,10 +214,9 @@ def project_to_so3(A) -> np.ndarray:
     keeps the projection exactly idempotent on valid rotations.
     """
     A = np.asarray(A)
-    single = A.ndim == 2
-    B = _f64(A if not single else A[None])
+    B = _f64(A)
     clean = is_valid_rotmat(B, _VALID_TOL)
-    out = np.array(A if not single else A[None], copy=True)
+    out = np.array(A, copy=True)
     if not np.all(clean):
         dirty = ~clean
         U, S, Vt = np.linalg.svd(B[dirty])
@@ -227,7 +226,7 @@ def project_to_so3(A) -> np.ndarray:
         U = U.copy()
         U[..., :, 2] *= d[..., None]
         out[dirty] = (U @ Vt).astype(out.dtype)
-    return out[0] if single else out
+    return out
 
 
 def geodesic_angle(R1, R2) -> np.ndarray:

@@ -27,7 +27,6 @@ class TrainConfig:
     batch_size: int = 32
     warmup: int = 10000
     max_steps: int = 3000
-    max_grad_norm: float = 1.0
     eval_every: int = 500
     patience: int = 10            # evaluations without improvement
     reverse_prob: float = 0.0
@@ -41,8 +40,6 @@ class TrainConfig:
                                    "patience", "n_val_windows"))
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
-        if not self.max_grad_norm > 0:
-            raise ConfigError(f"max_grad_norm {self.max_grad_norm!r} must be positive")
         for name in ("reverse_prob", "mirror_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -86,6 +83,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the standard Adam constants
+MAX_GRAD_NORM = 1.0  # every training step's gradients are clipped to this global norm
 
 
 class AdamState:
@@ -190,6 +188,9 @@ class TrainResult:
     best_step: int = 0
 
 
+HISTORY_COLUMNS = ("step", "loss", "lr", "val_euler", "val_geodesic", "val_positional")
+
+
 def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
 
@@ -227,12 +228,11 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
             backward(loss, tape)
             grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                      for k, p in params.items()}
-            grads, _ = clip_global_norm(grads, tcfg.max_grad_norm)
+            grads, _ = clip_global_norm(grads, MAX_GRAD_NORM)
             lr = noam_lr(step, cfg.embed_dim, tcfg.warmup)
             adam_step(params, grads, state, lr)
 
-            row = {"step": step, "loss": loss_val, "lr": lr,
-                   "val_euler": None, "val_geodesic": None, "val_positional": None}
+            row = dict.fromkeys(HISTORY_COLUMNS) | {"step": step, "loss": loss_val, "lr": lr}
             if step % tcfg.eval_every == 0 or step == tcfg.max_steps:
                 row.update(validation_metrics(params, cfg, val_windows, horizon,
                                               val_seqs[0].skeleton, fps))
@@ -254,11 +254,9 @@ def train(params: dict[str, Tensor], cfg: ModelConfig, tcfg: TrainConfig,
 
 
 def write_history_csv(path, history: list[dict]):
+    """One row per step under a `HISTORY_COLUMNS` header; a None cell is empty."""
     with tz.atomic_write(path) as fh:
-        fh.write("step,loss,lr,val_euler,val_geodesic,val_positional\n")
+        fh.write(",".join(HISTORY_COLUMNS) + "\n")
         for row in history:
-            cells = [str(row["step"]), repr(row["loss"]), repr(row["lr"])]
-            for key in ("val_euler", "val_geodesic", "val_positional"):
-                v = row.get(key)
-                cells.append("" if v is None else repr(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join("" if row[k] is None else repr(row[k])
+                              for k in HISTORY_COLUMNS) + "\n")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmotion import cli, model, motiondata, tensor, training
 
@@ -29,6 +31,14 @@ eval_every = 2
 n_val_windows = 2
 warmup = 10
 """
+
+
+def config_with(lines: str) -> str:
+    """CONFIG with `lines` (`key = value` each) in place of the lines that set the same keys:
+    a config file sets each key once."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in CONFIG.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [lines]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +262,7 @@ class TestTrain:
         d = tmp_path / "ablation"
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
                          "--config", str(workdir / "tiny.cfg"), "--steps", "2",
-                         "--tau", "sum", "--sharing", "all_separate",
+                         "--tau", "sum_normalize", "--sharing", "all_separate",
                          "--out-dir", str(d)]) == 0
         for name in ("best.stt1", "final.stt1"):
             header = json.loads((d / name).read_bytes().split(b"\n", 1)[0])
@@ -317,13 +327,14 @@ class TestTrain:
         ("embed_dim = 5\nn_heads = 1", "embed_dim 5 must be even"),
         ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
         ("joint_dim = 6", "unknown config keys: ['joint_dim']"),
+        ("max_grad_norm = 2.0", "unknown config keys: ['max_grad_norm']"),
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
             "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one",
-            "joint_dim"])
+            "joint_dim", "max_grad_norm"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG + line + "\n")
+        bad.write_text(config_with(line))
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
                          "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -407,6 +418,17 @@ class TestTrain:
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
                          "--config", str(bad),
                          "--out-dir", str(tmp_path / "x")]) == 2
+
+    def test_repeated_config_key_is_usage_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + "max_steps = 7\n")
+        line = CONFIG.splitlines().index("max_steps = 3") + 1
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}:{len(CONFIG.splitlines()) + 1}: key 'max_steps' "
+                       f"repeats line {line}"]
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_config_line(self, workdir, tmp_path):
         bad = tmp_path / "bad2.cfg"
@@ -788,7 +810,7 @@ class TestMemoryBudget:
 
         monkeypatch.setattr(training, "make_eval_windows", sample)
         cfg, out = tmp_path / "budget.cfg", tmp_path / "out"
-        cfg.write_text(CONFIG + line + "\n")
+        cfg.write_text(config_with(line))
         argv = ["--data", str(workdir / "data.stm1"), *flags]
         if command == "eval":
             argv = ["eval", *argv, "--checkpoint", str(workdir / "run" / "best.stt1"),
@@ -908,8 +930,10 @@ class TestParsing:
         (["bench", "--variant", "st", "--out", "b", "--bogus", "1"],
          "unrecognized arguments: --bogus 1"),
         (["synth", "--out", "m", "--frames"], "argument --frames: expected one argument"),
+        (["train", "--data", "d", "--out-dir", "o", "--tau", "sum"],
+         "argument --tau: invalid choice: 'sum'"),
     ], ids=["no_command", "unknown_command", "missing_flag", "missing_flags",
-            "bad_choice", "unknown_flag", "missing_value"])
+            "bad_choice", "unknown_flag", "missing_value", "tau_mode_spelled_short"])
     def test_parser_errors_are_one_line(self, capsys, argv, named):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -935,6 +959,56 @@ class TestParsing:
         p = tmp_path / "c.cfg"
         p.write_text("# header\n\nwindow = 8  # inline\nvariant = st\n")
         assert cli._parse_config_file(p) == {"window": 8, "variant": "st"}
+
+
+@st.composite
+def config_values(draw):
+    """Valid values for every field of ModelConfig and TrainConfig."""
+    heads = draw(st.integers(1, 4))
+    counts = st.integers(1, 10 ** 6)
+    chances = st.floats(0.0, 1.0)
+    return dict(
+        n_joints=draw(st.integers(1, 30)), embed_dim=2 * heads * draw(st.integers(1, 16)),
+        n_layers=draw(st.integers(1, 8)), n_heads=heads, ff_size=draw(counts),
+        window=draw(counts), dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        tau_mode=draw(st.sampled_from(model.TAU_MODES)),
+        spatial_sharing=draw(st.sampled_from(model.SHARING_MODES)),
+        variant=draw(st.sampled_from(model.VARIANTS)), ff_per_branch=draw(st.booleans()),
+        batch_size=draw(counts), warmup=draw(counts), max_steps=draw(counts),
+        eval_every=draw(counts), patience=draw(counts), reverse_prob=draw(chances),
+        mirror_prob=draw(chances), seed=draw(st.integers(0, 2 ** 63)),
+        n_val_windows=draw(counts),
+        val_horizon_ms=draw(st.floats(0.0, 1e9, exclude_min=True)))
+
+
+# each train flag and the config key it sets
+TRAIN_FLAG_KEYS = {"--variant": "variant", "--tau": "tau_mode", "--sharing": "spatial_sharing",
+                   "--steps": "max_steps", "--seed": "seed", "--batch-size": "batch_size",
+                   "--warmup": "warmup"}
+flag_values = st.fixed_dictionaries({}, optional={
+    "--variant": st.sampled_from(model.VARIANTS), "--tau": st.sampled_from(model.TAU_MODES),
+    "--sharing": st.sampled_from(model.SHARING_MODES), "--steps": st.integers(1, 10 ** 6),
+    "--seed": st.integers(0, 2 ** 63), "--batch-size": st.integers(1, 10 ** 6),
+    "--warmup": st.integers(1, 10 ** 6)})
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(values=config_values(), flags=flag_values)
+    def test_key_value_lines_build_the_configs_and_flags_override(self, tmp_path_factory,
+                                                                  values, flags):
+        mfields = {f.name for f in dataclasses.fields(model.ModelConfig)}
+        tfields = {f.name for f in dataclasses.fields(training.TrainConfig)}
+        assert set(values) == mfields | tfields
+        path = tmp_path_factory.mktemp("cfg") / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [a for flag, v in flags.items() for a in (flag, str(v))]
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "d", "--out-dir", "o", "--config", str(path), *argv])
+        want = values | {TRAIN_FLAG_KEYS[flag]: v for flag, v in flags.items()}
+        assert cli._build_configs(args, n_joints=1) == (
+            model.ModelConfig(**{k: want[k] for k in mfields}),
+            training.TrainConfig(**{k: want[k] for k in tfields}))
 
 
 class TestSpecHandCases:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from stmotion import evalmetrics as ev
 from stmotion import motiondata as md
 from stmotion import so3
+from stmotion.errors import ConfigError
 
 
 def rot_seq(n_frames, seed=0):
@@ -76,7 +79,14 @@ class TestAngleMetrics:
     def test_horizon_frames(self):
         assert ev.horizon_frames([400.0], 25.0) == [10]
         assert ev.horizon_frames([80.0, 160.0, 1000.0], 25.0) == [2, 4, 25]
-        assert ev.horizon_frames([1.0], 25.0) == [1]  # never zero frames
+        assert ev.horizon_frames([100.0, 200.0, 400.0, 1000.0], 60.0) == [6, 12, 24, 60]
+
+    @pytest.mark.parametrize("h", [-100.0, 1.0, math.nan, math.inf],
+                             ids=["negative", "under_a_frame", "nan", "inf"])
+    def test_horizon_without_a_frame_is_config_error(self, h):
+        # scored horizons follow span_frames' rule: no horizon scores a frame it does not span
+        with pytest.raises(ConfigError, match=f"horizon {h:g} spans"):
+            ev.horizon_frames([100.0, h], 60.0)
 
     def test_shape_mismatch(self):
         _, rots = rot_seq(5)

@@ -242,6 +242,16 @@ class TestProperties:
         assert so3.is_valid_rotmat(p, tol=1e-6 if dtype == np.float32 else 1e-9)
         np.testing.assert_array_equal(so3.project_to_so3(p), p)
 
+    @given(rotations, rotations, st.lists(st.floats(1e-6, 10), min_size=3, max_size=3),
+           st.booleans(), st.sampled_from([np.float32, np.float64]))
+    @example(u=np.eye(3), v=np.eye(3), s=[1.0, 1.0, 1.0], reflect=False, dtype=np.float64)
+    @example(u=np.eye(3), v=np.eye(3), s=[2.0, 2.0, 2.0], reflect=False, dtype=np.float32)
+    def test_one_matrix_projects_as_a_stack_of_one(self, u, v, s, reflect, dtype):
+        a = matrix(u, np.array(s) * [1, 1, -1 if reflect else 1], v).astype(dtype)
+        one, stacked = so3.project_to_so3(a), so3.project_to_so3(a[None])[0]
+        assert (one.shape, one.dtype) == (stacked.shape, stacked.dtype)
+        assert one.tobytes() == stacked.tobytes()
+
     @given(rotations, rotations, st.lists(st.floats(0, 10), min_size=2, max_size=2))
     @example(u=so3.rotmat_from_quat(np.array([0.0, 0.0, 1.0, 2.22507386e-309])),
              v=so3.rotmat_from_quat(np.array([0.0, 1.0, 1.0, 2.0]) / np.sqrt(6.0)),

@@ -3,6 +3,7 @@ function and class of `stmotion` is named in the code of `src/`, `demos/`
 or `stbench/`, apart from the few names below, and every field of a public
 dataclass is read there."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -10,6 +11,7 @@ import pkgutil
 from pathlib import Path
 
 import stmotion
+from stmotion import cli, model, training
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +57,12 @@ def test_every_dataclass_field_is_read():
               if dataclasses.is_dataclass(obj)
               for f in dataclasses.fields(obj) if f.name not in read}
     assert unread == set()
+
+
+def test_every_train_flag_sets_its_config_key():
+    # a flag's dest is the ModelConfig/TrainConfig field it sets; the rest name files or a budget
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices["train"]._actions if a.dest != "help"}
+    fields = {f.name for cls in (model.ModelConfig, training.TrainConfig)
+              for f in dataclasses.fields(cls)}
+    assert dests - fields == {"data", "config", "out_dir", "memory_budget"}
