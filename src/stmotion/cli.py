@@ -23,7 +23,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import evalmetrics, model, motiondata, training
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, file_errors
 from .tensor import atomic_write
 
 EXIT_OK = 0
@@ -74,20 +74,21 @@ def _check_joints(cfg, source: str, seq, data: str):
 
 
 def _parse_config_file(path) -> dict:
-    """Flat `key = value` lines with `#` comments; each key at most once."""
+    """Flat UTF-8 `key = value` lines with `#` comments; each key at most once."""
+    with open(path, encoding="utf-8") as fh, file_errors("config file", path):
+        raw_lines = fh.readlines()
     out, lines = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key in lines:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-            lines[key] = lineno
-            out[key] = _coerce(value)
+    for lineno, raw in enumerate(raw_lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        out[key] = _coerce(value)
     return out
 
 
@@ -95,11 +96,10 @@ def _coerce(value: str):
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
+    if value.isascii() and "_" not in value:  # int() and float() take `_` and other digits
+        for cast in (int, float):
+            with contextlib.suppress(ValueError):
+                return cast(value)
     return value
 
 

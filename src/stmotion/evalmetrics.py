@@ -55,11 +55,18 @@ def span_frames(name: str, value: float, fps: float, per_second: float = 1.0) ->
     return round(span)
 
 
+def _up_to_horizons(per_frame: np.ndarray, horizons_ms, frame_rate: float):
+    """Yield (horizon, the frames of a (B, T, ...) array up to it); past T: ValueError."""
+    for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate)):
+        if f > per_frame.shape[1]:
+            raise ValueError(f"horizon {h:g} ms spans {f} frames; {per_frame.shape[1]} are scored")
+        yield h, per_frame[:, :f]
+
+
 def _horizon_means(per_frame: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, float]:
     """Mean of a (B, T, ...) error array over sequences and the frames up to
     each horizon."""
-    return {h: float(per_frame[:, :f].mean())
-            for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate))}
+    return {h: float(e.mean()) for h, e in _up_to_horizons(per_frame, horizons_ms, frame_rate)}
 
 
 def metric_euler(pred, target, horizons_ms, frame_rate: float) -> dict[float, float]:
@@ -98,11 +105,9 @@ def _pck_auc(err: np.ndarray, horizons_ms, frame_rate: float) -> dict[float, flo
     trapezoidal mean of PCK over DEFAULT_PCK_THRESHOLDS."""
     thresholds = np.asarray(DEFAULT_PCK_THRESHOLDS)
     out = {}
-    for h, f in zip(horizons_ms, horizon_frames(horizons_ms, frame_rate)):
-        e = err[:, :f].reshape(-1)
+    for h, e in _up_to_horizons(err, horizons_ms, frame_rate):
         pck = np.array([100.0 * (e <= t).mean() for t in thresholds])
-        auc = np.trapezoid(pck, thresholds) / (thresholds[-1] - thresholds[0])
-        out[h] = float(auc)
+        out[h] = float(np.trapezoid(pck, thresholds) / (thresholds[-1] - thresholds[0]))
     return out
 
 

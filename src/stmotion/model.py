@@ -90,8 +90,6 @@ class ModelConfig:
         values = json.loads(s)
         if not isinstance(values, dict):
             raise ConfigError("model config must be a JSON object")
-        if values.get("joint_dim") == JOINT_DIM:  # older headers hold the pose layout
-            del values["joint_dim"]
         names = {f.name for f in fields(cls)}
         for problem, keys in (("unknown", values.keys() - names), ("missing", names - values.keys())):
             if keys:
@@ -253,11 +251,10 @@ def _attend(q, k, v, cfg: ModelConfig, mask: np.ndarray | None):
 # ---------------------------------------------------------------------------
 
 
-def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, ejq: Tensor | None = None):
+def _temporal_stream(ej: Tensor, p: dict, pre: str, cfg: ModelConfig, ejq: Tensor):
     """Per-joint causal attention over time. ej: joint-major (N, B, T, D)
-    for the keys and values; ejq: its last Tq frames for the queries
-    (default all of ej). Returns ((B, Tq, N, D), weights (N, H, B, Tq, T))."""
-    ejq = ej if ejq is None else ejq
+    for the keys and values; ejq: its last Tq frames for the queries (Tq < T
+    only in st's trimmed last block). Returns ((B, Tq, N, D), weights (N, H, B, Tq, T))."""
     n, b, t, _ = ej.data.shape
     tq = ejq.data.shape[2]
     h, f = cfg.n_heads, cfg.head_dim
@@ -458,22 +455,20 @@ def rollout_batch(params: dict[str, Tensor], cfg: ModelConfig, seeds: np.ndarray
     repeat.
 
     seeds: (B, T_seed, N, M) flattened rotations, T_seed <= cfg.window.
-    Returns predictions (B, steps, N, M). When `maps_out` is given (a list,
-    or the sink of `write_attention_csv`), each step's AttentionMaps
-    (averaged over the batch) is appended to it."""
-    win = np.asarray(seeds, dtype=np.float32)  # read, never written: each step makes a new one
-    b, _, n, m = win.shape
-    out = np.empty((b, steps, n, m), dtype=np.float32)
+    Returns predictions (B, steps, N, M): the frames after the seeds in one
+    float32 buffer, from which step s reads frames s to s + T_seed - 1. When
+    `maps_out` is given (a list, or the sink of `write_attention_csv`),
+    each step's AttentionMaps (averaged over the batch) is appended to it."""
+    b, t, n, m = np.shape(seeds)
+    buf = np.empty((b, t + steps, n, m), dtype=np.float32)
+    buf[:, :t] = seeds
     for s in range(steps):
-        pred, maps, _ = forward(params, cfg, win, last_only=maps_out is None,
+        pred, maps, _ = forward(params, cfg, buf[:, s:s + t], last_only=maps_out is None,
                                 maps=maps_out is not None)
         if maps_out is not None:
             maps_out.append(maps)
-        nxt = pred.data[:, -1]
-        nxt = project_to_so3(nxt.reshape(-1, 3, 3)).reshape(b, n, m).astype(np.float32)
-        out[:, s] = nxt
-        win = np.concatenate([win[:, 1:], nxt[:, None]], axis=1)
-    return out
+        buf[:, t + s] = project_to_so3(pred.data[:, -1].reshape(-1, 3, 3)).reshape(b, n, m)
+    return buf[:, t:]
 
 
 def zero_velocity(seed: np.ndarray, steps: int) -> np.ndarray:
@@ -481,7 +476,7 @@ def zero_velocity(seed: np.ndarray, steps: int) -> np.ndarray:
     seed = np.asarray(seed)
     if seed.shape[0] < 1:
         raise ValueError("seed must be non-empty")
-    return np.repeat(seed[-1][None], steps, axis=0).copy()
+    return np.repeat(seed[-1][None], steps, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,12 @@ class MotionSequence:
 
     skeleton: Skeleton
     rotations: np.ndarray  # (T, N, 3, 3) float32
-    frame_rate: float
+    frame_rate: float      # frames per second: a real number, positive and finite
 
     def __post_init__(self):
+        rate = self.frame_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < math.inf:
+            raise ValueError(f"frame_rate {rate!r} is not a positive number")
         self.rotations = np.asarray(self.rotations, dtype=np.float32)
         if self.rotations.ndim != 4 or self.rotations.shape[1] != self.skeleton.n_joints \
                 or self.rotations.shape[2:] != (3, 3):
@@ -262,13 +266,11 @@ def load_motion(path) -> MotionSequence:
     with file_errors("motion file", path):
         header = json.loads(header)
         rate = header["frame_rate"]
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
-            raise ValueError(f"frame_rate {rate!r} is not a positive number")
         return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
 
 
 def skeleton_from_json(path) -> Skeleton:
-    with open(path) as fh, file_errors("skeleton file", path):
+    with open(path, encoding="utf-8") as fh, file_errors("skeleton file", path):
         return Skeleton(**json.load(fh))
 
 
@@ -276,7 +278,7 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
     """Load a per-joint sinusoid spec file; returns (specs, noise_std).
 
     Joints may be referenced by index or by name."""
-    with open(path) as fh, file_errors("spec file", path):
+    with open(path, encoding="utf-8") as fh, file_errors("spec file", path):
         d = json.load(fh)
         specs = []
         for item in d["joints"]:

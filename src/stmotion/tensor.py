@@ -3,8 +3,8 @@
 Tensors wrap numpy arrays (float32 by default), and every operation takes
 Tensor operands. Operations executed while a Tape is active are recorded and
 can be replayed backwards to populate the ``grad`` buffers of every tensor
-created with ``requires_grad=True``. Without an active tape, operations are
-plain numpy calls.
+created with ``requires_grad=True``; a recorded op's output needs a gradient
+too. Without an active tape, operations are plain numpy calls.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ _keep_freed_workspace()
 class Tensor:
     """Dense row-major array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "has_graph")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -111,7 +111,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self.has_graph = False
 
     @property
     def shape(self):
@@ -150,15 +149,10 @@ class Tape:
         return False
 
 
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t.has_graph
-
-
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    if _TAPE_STACK and any(_needs(t) for t in inputs):
-        tape = _TAPE_STACK[-1]
-        out.has_graph = True
-        tape.ops.append((out, tuple(inputs), backward_fn))
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        _TAPE_STACK[-1].ops.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -191,8 +185,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if _needs(a) else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if _needs(b) else None
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -219,12 +213,12 @@ def joint_linear(x: Tensor, w: Tensor) -> Tensor:
     def bwd(g):
         gf = g.reshape(y.shape)
         gx = gw = None
-        if _needs(x):
+        if x.requires_grad:
             gx = gf @ np.swapaxes(w.data, -1, -2)
             if heads:
                 gx = gx.sum(axis=1)
             gx = gx.reshape(x.data.shape)
-        if _needs(w):
+        if w.requires_grad:
             gw = np.swapaxes(xf, -1, -2) @ gf
         return gx, gw
 
@@ -235,8 +229,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if _needs(a) else None,
-                _unbroadcast(g, b.data.shape) if _needs(b) else None)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -245,8 +239,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if _needs(a) else None,
-                _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -307,8 +301,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
               tau: str = "softmax"):
     """Fused attention over the last two axes: context = tau(q @ k^T * scale + mask) @ v.
 
-    `mask` is the additive causal mask M for both tau (0 where admissible, a
-    large negative value elsewhere), broadcast over the scores; None: unmasked.
+    q, k and v share their leading axes; only `mask`, the additive causal
+    mask M for both tau (0 where admissible, a large negative value
+    elsewhere), broadcasts over the scores; None: unmasked.
     tau "softmax": rows are shifted by their max before exp. tau
     "sum_normalize": relu(scores + M), which zeroes the masked entries, is
     divided by its row sum, and a row whose sum is at most 1e-8 gets a uniform
@@ -319,6 +314,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
     """
     if tau not in TAU_MODES:
         raise ValueError(f"unknown attention tau {tau!r}")
+    if not q.data.shape[:-2] == k.data.shape[:-2] == v.data.shape[:-2]:
+        raise ValueError(f"attention q, k, v leading axes differ: {q.shape}, {k.shape}, {v.shape}")
     c = q.data.dtype.type(scale)
     w = q.data @ np.swapaxes(k.data, -1, -2)
     w *= c
@@ -343,7 +340,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
     out = Tensor(w @ v.data)
 
     def bwd(g):
-        gv = _unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape) if _needs(v) else None
+        gv = np.swapaxes(w, -1, -2) @ g if v.requires_grad else None
         gs = g @ np.swapaxes(v.data, -1, -2)
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         if tau == "softmax":
@@ -354,10 +351,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
                 gs *= ok
             gs *= positive
         gs *= c
-        gq = _unbroadcast(gs @ k.data, q.data.shape) if _needs(q) else None
+        gq = gs @ k.data if q.requires_grad else None
         # (q^T gs)^T, not gs^T q: the same sums as the unfused matmul backward
-        gk = (_unbroadcast(np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2), k.data.shape)
-              if _needs(k) else None)
+        gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2) if k.requires_grad else None
         return gq, gk, gv
 
     return _record(out, (q, k, v), bwd), w
@@ -447,7 +443,7 @@ def backward(loss: Tensor, tape: Tape):
             continue
         grads = fn(out.grad)
         for t, g in zip(inputs, grads):
-            if g is None or not _needs(t):
+            if g is None or not t.requires_grad:
                 continue
             # Out of place: a gradient may alias another op's gradient (add
             # hands the same array to both inputs, reshape returns a view).

@@ -328,13 +328,15 @@ class TestTrain:
         ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
         ("joint_dim = 6", "unknown config keys: ['joint_dim']"),
         ("max_grad_norm = 2.0", "unknown config keys: ['max_grad_norm']"),
+        ("seed = 1_0", "seed '1_0' must be int"),
+        ("max_steps = \uff15", "max_steps '\uff15' must be int"),
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
             "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one",
-            "joint_dim", "max_grad_norm"])
+            "joint_dim", "max_grad_norm", "seed_digit_separator", "max_steps_fullwidth_digit"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(config_with(line))
+        bad.write_text(config_with(line), encoding="utf-8")
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
                          "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -428,6 +430,15 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {bad}:{len(CONFIG.splitlines()) + 1}: key 'max_steps' "
                        f"repeats line {line}"]
+        assert not (tmp_path / "x").exists()
+
+    def test_non_utf8_config_names_the_file(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff = 1\n")
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config file {bad}: 'utf-8' codec"), err
         assert not (tmp_path / "x").exists()
 
     def test_malformed_config_line(self, workdir, tmp_path):
@@ -954,6 +965,9 @@ class TestParsing:
         assert cli._coerce("42") == 42
         assert cli._coerce("0.5") == 0.5
         assert cli._coerce("softmax") == "softmax"
+        assert cli._coerce("1e3") == 1000.0
+        for text in ("1_0", "1_000.5", "\uff15", "\u0665"):  # separators, non-ASCII digits
+            assert cli._coerce(text) == text
 
     def test_config_file_comments_and_blanks(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -41,7 +41,8 @@ class TestAngleMetrics:
         base = rots[:, 0].reshape(4, 3, 3).astype(np.float64)
         Rx = so3.rotmat_from_angleaxis([theta, 0, 0])
         pred[:, 0] = (base @ Rx).reshape(4, 9).astype(np.float32)
-        ge = ev.metric_geodesic(pred, rots, [1000.0], 60.0)[1000.0]
+        h = 1000.0 * 4 / 60.0  # the span of the 4 frames
+        ge = ev.metric_geodesic(pred, rots, [h], 60.0)[h]
         assert abs(ge - theta / sk.n_joints) < 1e-3
 
     def test_euler_single_axis_offset(self):
@@ -52,7 +53,7 @@ class TestAngleMetrics:
         theta = 0.25
         tgt = np.tile(np.eye(3).reshape(9).astype(np.float32), (6, n, 1))
         pred = np.tile(rx_flat(theta), (6, n, 1))
-        eu = ev.metric_euler(pred, tgt, [1000.0], 60.0)[1000.0]
+        eu = ev.metric_euler(pred, tgt, [100.0], 60.0)[100.0]  # the 6 frames
         assert abs(eu - theta * np.sqrt(n)) < 1e-5
 
     def test_euler_wrapping(self):
@@ -63,7 +64,8 @@ class TestAngleMetrics:
         n = sk.n_joints
         a = np.tile(rx_flat(np.pi - eps), (2, n, 1))
         b = np.tile(rx_flat(-(np.pi - eps)), (2, n, 1))
-        eu = ev.metric_euler(a, b, [1000.0], 60.0)[1000.0]
+        h = 1000.0 * 2 / 60.0  # the span of the 2 frames
+        eu = ev.metric_euler(a, b, [h], 60.0)[h]
         assert abs(eu - 2 * eps * np.sqrt(n)) < 1e-4
 
     def test_horizon_truncation(self):
@@ -75,6 +77,15 @@ class TestAngleMetrics:
         full = ev.metric_geodesic(pred, rots, [166.7], 60.0)[166.7]
         assert short < 1e-4
         assert full > 0.01
+
+    def test_horizon_beyond_the_scored_frames_is_an_error(self):
+        # 6 frames at 60 fps span 100 ms; 1000 ms would score those 6 frames again
+        sk, rots = rot_seq(6)
+        for score in (lambda hs: ev.metric_geodesic(rots, rots, hs, 60.0),
+                      lambda hs: ev.full_report(rots, rots, sk, hs, 60.0)):
+            assert list(score([50.0, 100.0])) == [50.0, 100.0]
+            with pytest.raises(ValueError, match="horizon 1000 ms spans 60 frames; 6 are scored"):
+                score([100.0, 1000.0])
 
     def test_horizon_frames(self):
         assert ev.horizon_frames([400.0], 25.0) == [10]
@@ -120,7 +131,8 @@ class TestPositionalMetrics:
         tgt = np.tile(np.eye(3).reshape(9).astype(np.float32), (40, n, 1))
         pred = tgt.copy()
         pred[:20, 0] = rx_flat(np.pi / 2)
-        auc = ev.full_report(pred, tgt, sk, [1000.0], 60.0)[1000.0]["pck_auc"]
+        h = 1000.0 * 40 / 60.0  # the span of the 40 frames
+        auc = ev.full_report(pred, tgt, sk, [h], 60.0)[h]["pck_auc"]
         err = ev.positional_errors(pred, tgt, sk)
         grid = np.asarray(ev.DEFAULT_PCK_THRESHOLDS)
         pck = [100.0 * (err <= t).mean() for t in grid]

@@ -60,18 +60,13 @@ class TestConfig:
         (lambda d: d.update(n_layer=1), "unknown keys ['n_layer']"),
         (lambda d: d.pop("window"), "missing keys ['window']"),
         (lambda d: d.update(joint_dim=6), "unknown keys ['joint_dim']"),
-    ], ids=["unknown", "missing", "joint_dim_not_the_pose_layout"])
+        (lambda d: d.update(joint_dim=JOINT_DIM), "unknown keys ['joint_dim']"),
+    ], ids=["unknown", "missing", "joint_dim_not_the_pose_layout", "joint_dim_the_pose_layout"])
     def test_json_keys_must_be_the_fields(self, edit, message):
         values = json.loads(tiny_cfg().to_json())
         edit(values)
         with pytest.raises(ConfigError, match=re.escape(message)):
             mo.ModelConfig.from_json(json.dumps(values))
-
-    def test_older_header_with_the_pose_layout_loads(self):
-        # headers written while the pose layout was a field hold "joint_dim": 9
-        cfg = tiny_cfg(ff_per_branch=True)
-        values = {**json.loads(cfg.to_json()), "joint_dim": JOINT_DIM}
-        assert mo.ModelConfig.from_json(json.dumps(values, sort_keys=True)) == cfg
 
 
 class TestPositionalEncoding:
@@ -395,7 +390,7 @@ class TestCausalMasks:
             # scores are q with k = v = I; the masked ones are large and positive
             scores = Tensor(np.abs(rng.standard_normal((2, 5, 5))).astype(dtype) + 1,
                             requires_grad=True)
-            eye = Tensor(np.eye(5, dtype=dtype))
+            eye = Tensor(np.broadcast_to(np.eye(5, dtype=dtype), (2, 5, 5)))
             with Tape() as tape:
                 ctx, w = tz.attention(scores, eye, eye, 1.0, mask, "sum_normalize")
                 loss = tz.tsum(tz.mul(ctx, Tensor(rng.standard_normal((2, 5, 5)).astype(dtype))))
@@ -632,6 +627,25 @@ class TestLastOnly:
         assert pred.data.shape == (1, cfg.n_joints, JOINT_DIM)
         np.testing.assert_array_equal(pred.data, full.data[-1:])
         assert maps == mo.AttentionMaps()
+
+    def test_rollout_slides_the_window_over_its_own_predictions(self):
+        # each step reads the last T_seed frames of the seeds and the frames
+        # predicted so far; float64 seeds are rounded to float32 first
+        from stmotion import so3
+        cfg = tiny_cfg()
+        params, rng = self._params(cfg, 64)
+        b, t, n, steps = 3, 4, cfg.n_joints, 6
+        seeds = so3.random_rotations((b, t, n), rng).reshape(b, t, n, JOINT_DIM)
+        before = seeds.copy()
+        out = mo.rollout_batch(params, cfg, seeds, steps)
+        assert out.shape == (b, steps, n, JOINT_DIM) and out.dtype == np.float32
+        win = seeds.astype(np.float32)
+        for s in range(steps):
+            pred, _, _ = mo.forward(params, cfg, win)
+            nxt = so3.project_to_so3(pred.data[:, -1].reshape(-1, 3, 3)).reshape(b, n, JOINT_DIM)
+            np.testing.assert_array_equal(out[:, s], nxt)
+            win = np.concatenate([win[:, 1:], nxt[:, None]], axis=1)
+        np.testing.assert_array_equal(seeds, before)
 
     def test_training_is_rejected(self):
         cfg = tiny_cfg()
@@ -888,7 +902,7 @@ class TestSpecHandCases:
         }
         e = Tensor(rng.standard_normal((2, 6, 1, d)).astype(np.float32))
         ej = tz.transpose(e, (2, 0, 1, 3))  # joint-major (N, B, T, D)
-        t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg)
+        t_out, _ = mo._temporal_stream(ej, st_params, "l0.", cfg, ej)
         flat = Tensor(e.data.reshape(2, 6, d))
         a_out, _ = mo._token_attention(flat, p2, "l0.a.", cfg, mo._causal_mask(6, 1))
         np.testing.assert_allclose(t_out.data.reshape(2, 6, d), a_out.data,

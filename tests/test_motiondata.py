@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -153,6 +154,14 @@ class TestSynthMotion:
         with pytest.raises(ValueError):
             md.synth_motion(sk, 10, 60.0, md.two_frequency_spec(sk), noise_std=0.1)
 
+    @pytest.mark.parametrize("rate, spec", [(math.inf, True), (0.0, False)],
+                             ids=["inf_passes_the_aliasing_rule", "zero_without_a_spec"])
+    def test_rejects_a_rate_no_motion_file_holds(self, rate, spec):
+        # no aliasing check stops these rates; the sequence's own rule does
+        sk = md.default_skeleton()
+        with pytest.raises(ValueError, match=f"frame_rate {rate!r} is not a positive number"):
+            md.synth_motion(sk, 4, rate, md.two_frequency_spec(sk) if spec else [])
+
 
 class TestWindowing:
     """Windows are cut by `training.sample_batch` and `make_eval_windows`;
@@ -274,6 +283,16 @@ class TestFileFormats:
         with pytest.raises(ConfigError, match=re.escape(f"motion file {p}: ") + ".*"
                            + re.escape(message)):
             md.load_motion(p)
+
+    @pytest.mark.parametrize("rate", [True, "60", np.nan, -1.0, 0, math.inf, None])
+    def test_sequence_frame_rate_is_a_positive_real(self, rate):
+        with pytest.raises(ValueError, match=re.escape(f"frame_rate {rate!r} is not a positive")):
+            md.MotionSequence(md.default_skeleton(), identity_seq(2).rotations, rate)
+
+    @pytest.mark.parametrize("rate", [60, 60.0, np.float32(24.0), np.int64(30)])
+    def test_sequence_takes_any_real_rate(self, rate):
+        assert md.MotionSequence(md.default_skeleton(), identity_seq(2).rotations,
+                                 rate).frame_rate == rate
 
     def test_skeleton_json(self, tmp_path):
         sk = md.default_skeleton()

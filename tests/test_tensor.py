@@ -236,6 +236,14 @@ class TestAttention:
         gq, gk, gv = fn(np.ones_like(ctx.data))
         assert gq.shape == q.shape and gk is None and gv is None
 
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_operands_with_other_leading_axes_are_refused(self, operand):
+        # only the mask broadcasts; q, k and v share their leading axes
+        ops = [Tensor(np.ones((2, 3, 4, 5))) for _ in range(3)]
+        ops[operand] = Tensor(np.ones((3, 4, 5)))
+        with pytest.raises(ValueError, match="leading axes differ"):
+            tz.attention(*ops, 1.0)
+
     def test_unknown_tau(self):
         x = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -463,7 +471,7 @@ class TestBackward:
             loss = tz.tsum(tz.l2norm_lastdim(pred))
         backward(loss, tape)
         window = [t for _, inputs, _ in tape.ops for t in inputs
-                  if not (t.requires_grad or t.has_graph) and t.data.shape[-1] == 9]
+                  if not t.requires_grad and t.data.shape[-1] == 9]
         assert window and all(t.grad is None for t in window)
         grads = [(k, p.grad) for k, p in params.items()]
         for k, g in grads:
@@ -477,11 +485,13 @@ class TestBackward:
         with Tape() as tape:
             y = tz.mul(x, x)
             z = tz.tsum(y)
-        # inputs of each op are either leaves or outputs recorded earlier
+        # a recorded output needs a gradient; an op run without a tape records none
+        assert y.requires_grad and z.requires_grad and not tz.mul(x, x).requires_grad
+        # inputs of each op are either the leaf x or outputs recorded earlier
         produced = set()
         for out, inputs, _ in tape.ops:
             for t in inputs:
-                if t.has_graph:
+                if t is not x:
                     assert id(t) in produced
             produced.add(id(out))
 
