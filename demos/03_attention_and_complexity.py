@@ -57,7 +57,7 @@ for t in (16, 32, 64):
     for variant in ("st", "full_2d"):
         cfg = mo.ModelConfig(n_joints=N, embed_dim=16, n_heads=2, n_layers=2,
                              ff_size=32, window=t, dropout=0.0, variant=variant)
-        row.append(mo.estimate_workspace_elements(cfg, batch=1))
+        row.append(mo.budget_bytes(cfg, 1, 0) // 4)  # float32 bytes, in elements
     print(f"{row[0]:6d}  {row[1]:19d}  {row[2]:17d}")
 
 # A rollout's attention maps, one AttentionMaps per step, can be exported as

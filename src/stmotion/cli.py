@@ -156,10 +156,9 @@ def cmd_train(args) -> int:
     horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, seq.frame_rate,
                                       per_second=1000.0)
     n_val = tcfg.n_val_windows  # windows of window + horizon frames, rolled out at once
-    _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}", 4 * (
-        model.estimate_workspace_elements(cfg, tcfg.batch_size)
-        + n_val * (cfg.window + horizon) * cfg.n_joints * motiondata.JOINT_DIM
-        + model.estimate_workspace_elements(cfg, n_val)), args.memory_budget)
+    _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}",
+                  model.budget_bytes(cfg, tcfg.batch_size, 0)
+                  + model.budget_bytes(cfg, n_val, cfg.window + horizon), args.memory_budget)
 
     # deterministic train/validation split along time
     split = int(seq.n_frames * 0.9)
@@ -207,9 +206,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--data {args.data}: it has {seq.n_frames} frames, fewer than one "
                           f"window of {cfg.window + max_h} ({cfg.window} seed frames and "
                           f"{max_h} for --horizons {args.horizons})")
-    _check_budget(f"--n-windows {args.n_windows}", 4 * (
-        args.n_windows * (cfg.window + max_h) * cfg.n_joints * motiondata.JOINT_DIM
-        + model.estimate_workspace_elements(cfg, args.n_windows)))
+    _check_budget(f"--n-windows {args.n_windows}",
+                  model.budget_bytes(cfg, args.n_windows, cfg.window + max_h))
 
     rng = np.random.default_rng(args.seed)
     windows = training.make_eval_windows([seq], args.n_windows, cfg.window + max_h, rng)
@@ -245,9 +243,8 @@ def cmd_rollout(args) -> int:
     if seed_seq.n_frames > cfg.window:
         raise ConfigError(f"--seed-file {args.seed_file} has {seed_seq.n_frames} frames, more "
                           f"than the {cfg.window}-frame window of --checkpoint {args.checkpoint}")
-    what = f"--seconds {args.seconds:g} ({steps} frames) with --checkpoint {args.checkpoint}"
-    _check_budget(what, 4 * (steps * cfg.n_joints * motiondata.JOINT_DIM
-                             + model.estimate_workspace_elements(cfg, 1)))
+    _check_budget(f"--seconds {args.seconds:g} ({steps} frames) with --checkpoint "
+                  f"{args.checkpoint}", model.budget_bytes(cfg, 1, seed_seq.n_frames + steps))
     # each step's maps go to the CSV as the step ends; a failure leaves neither file
     with (model.write_attention_csv(args.dump_attention) if args.dump_attention
           else contextlib.nullcontext()) as maps:
@@ -291,8 +288,7 @@ def cmd_bench(args) -> int:
     for layers, win, batch in triples:
         cfg = dataclasses.replace(base, n_layers=layers, window=win)
         try:
-            _check_budget("--grid", 4 * model.estimate_workspace_elements(cfg, batch),
-                          args.memory_budget)
+            _check_budget("--grid", model.budget_bytes(cfg, batch, 0), args.memory_budget)
         except ConfigError:  # over the budget: an OOM row
             rows.append((layers, win, batch, "OOM", "", "", "", ""))
             continue

@@ -480,7 +480,7 @@ def zero_velocity(seed: np.ndarray, steps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Attention export and workspace estimation
+# Attention export and the memory account
 # ---------------------------------------------------------------------------
 
 
@@ -547,11 +547,12 @@ def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
     return ForwardStats([s for s, _ in layers], tokens * d + sum(w for _, w in layers))
 
 
-def estimate_workspace_elements(cfg: ModelConfig, batch: int) -> int:
-    """Forward workspace elements for a batch of windows of the configured
-    length, as `forward` reports them in ForwardStats. Used for memory
-    budgeting."""
-    return _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
+def budget_bytes(cfg: ModelConfig, batch: int, frames: int) -> int:
+    """Memory account of every command: `batch` float32 poses of `frames` frames
+    (a rollout's seeds and predictions, or 0) beside one forward's workspace
+    over `batch` windows of the configured length, as in ForwardStats."""
+    workspace = _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
+    return 4 * (batch * frames * cfg.n_joints * JOINT_DIM + workspace)
 
 
 # ---------------------------------------------------------------------------

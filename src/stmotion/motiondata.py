@@ -27,6 +27,14 @@ JOINT_DIM = 9  # flattened 3x3 rotation per joint
 _SAGITTAL = np.diag([-1.0, 1.0, 1.0])
 
 
+def _check_number(name: str, value, kind=numbers.Real):
+    """The value rule of skeleton, spec and noise fields: `value` is a `kind`
+    (a real number, or an integer), never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        want = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} {value!r} is not {want}")
+
+
 @dataclass
 class Skeleton:
     """Kinematic forest: parent indices, bone offsets (mm), mirror pairing."""
@@ -37,6 +45,10 @@ class Skeleton:
     mirror_pair: np.ndarray  # (N,) int, left/right partner or self
 
     def __post_init__(self):
+        for name, kind in (("parent", numbers.Integral), ("offset", numbers.Real),
+                           ("mirror_pair", numbers.Integral)):
+            for v in np.asarray(getattr(self, name), dtype=object).flat:
+                _check_number(name, v, kind)
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.offset = np.asarray(self.offset, dtype=np.float64)
         self.mirror_pair = np.asarray(self.mirror_pair, dtype=np.int64)
@@ -152,6 +164,10 @@ class JointMotionSpec:
     phase: float = 0.0
 
     def __post_init__(self):
+        for v in np.asarray(self.axis, dtype=object).flat:
+            _check_number("axis", v)
+        for name in ("amplitude", "frequency", "phase"):
+            _check_number(name, getattr(self, name))
         self.axis = np.asarray(self.axis, dtype=np.float64)
         if self.axis.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {self.axis.shape}")
@@ -179,7 +195,8 @@ def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "f
 
 
 def _check_noise_std(noise_std: float):
-    if not 0 <= noise_std < math.inf:
+    _check_number("noise_std", noise_std)
+    if not (noise_std >= 0 and math.isfinite(noise_std)):  # an int may pass float's range
         raise ValueError(f"noise_std {noise_std!r} must be finite and >= 0")
 
 
@@ -266,7 +283,15 @@ def load_motion(path) -> MotionSequence:
     with file_errors("motion file", path):
         header = json.loads(header)
         rate = header["frame_rate"]
+        _check_keys(header, ("frame_rate", "skeleton"), "header")
         return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
+
+
+def _check_keys(d: dict, keys, what: str):
+    """The key rule of motion headers and spec files: `d` has no key beside `keys`."""
+    unknown = d.keys() - set(keys)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
 
 
 def skeleton_from_json(path) -> Skeleton:
@@ -281,8 +306,10 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
     with open(path, encoding="utf-8") as fh, file_errors("spec file", path):
         d = json.load(fh)
         specs = []
-        for item in d["joints"]:
+        for i, item in enumerate(d["joints"]):
             joint = item["joint"]
+            _check_keys(item, ("joint", "axis", "amplitude", "frequency", "phase"),
+                        f"joints entry {i}")
             if isinstance(joint, str):
                 joint = skeleton.joint_names.index(joint)
             elif type(joint) is not int or not 0 <= joint < skeleton.n_joints:
@@ -290,11 +317,12 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
                                  f"index below {skeleton.n_joints}")
             specs.append(JointMotionSpec(
                 joint=joint,
-                axis=np.asarray(item["axis"], dtype=np.float64),
-                amplitude=float(item["amplitude"]),
-                frequency=float(item["frequency"]),
-                phase=float(item.get("phase", 0.0)),
+                axis=item["axis"],
+                amplitude=item["amplitude"],
+                frequency=item["frequency"],
+                phase=item.get("phase", 0.0),
             ))
-        noise_std = float(d.get("noise_std", 0.0))
+        _check_keys(d, ("joints", "noise_std"), "spec")
+        noise_std = d.get("noise_std", 0.0)
         _check_noise_std(noise_std)
         return specs, noise_std

@@ -535,8 +535,8 @@ def save_record(path, header: str, tensors: dict[str, np.ndarray]):
 def load_record(path) -> tuple[bytes, dict[str, np.ndarray]]:
     """Read what `save_record` wrote: the header line, for the caller to
     parse and check, and the tensors, each length checked against the bytes
-    left before it is read; a malformed or truncated file is a ConfigError
-    naming the file and the field."""
+    left before it is read; a malformed or truncated file, or a tensor name
+    that repeats, is a ConfigError naming the file and the field."""
     with open(path, "rb") as fh:
         header = fh.readline()
         here = fh.tell()
@@ -559,9 +559,15 @@ def load_record(path) -> tuple[bytes, dict[str, np.ndarray]]:
             (name_len,) = struct.unpack("<I", fh.read(claim(4, where + " name length")))
             name = fh.read(claim(name_len, where + " name")).decode("utf-8", "replace")
             where = f"tensor {name!r}"
+            if name in out:
+                raise ConfigError(f"{fh.name}: {where} repeats")
             (rank,) = struct.unpack("<I", fh.read(claim(4, where + " rank")))
             dims = struct.unpack(f"<{rank}I", fh.read(claim(4 * rank, where + " dims")))
             claim(4 * math.prod(dims), where + " values")
-            out[name] = np.empty(dims, dtype="<f4")
+            try:  # numpy's size limit, which a zero beside huge dims meets in no bytes
+                out[name] = np.empty(dims, dtype="<f4")
+            except ValueError:
+                raise ConfigError(f"{fh.name}: {where}: dims {list(dims)} are too large "
+                                  f"for an array") from None
             fh.readinto(out[name].reshape(-1).view(np.uint8))
     return header, out

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmotion import cli, model, motiondata, tensor, training
+from stmotion.errors import ConfigError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -96,9 +98,9 @@ class TestSynth:
          "joint 99"),
         ({"joints": [{"joint": 1, "axis": [1], "amplitude": 0.3, "frequency": 1.0}]},
          "axis must be a 3-vector"),
-        ({"joints": [], "noise_std": -1}, "noise_std -1.0 must be finite and >= 0"),
+        ({"joints": [], "noise_std": -1}, "noise_std -1 must be finite and >= 0"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 4, "frequency": 1.0}]},
-         "amplitude must be < pi, got 4.0"),
+         "amplitude must be < pi, got 4"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
                       "phase": math.nan}]}, "phase must be finite, got nan"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
@@ -112,9 +114,20 @@ class TestSynth:
          "axis must be nonzero with a finite norm, got [1e+308, 1e+308, 0.0]"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 0], "amplitude": 0.3, "frequency": 1.0}]},
          "axis must be nonzero with a finite norm, got [0.0, 0.0, 0.0]"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
+                      "phse": 1.0}]}, "joints entry 0 has unknown keys ['phse']"),
+        ({"joints": [], "noise_sd": 0.5}, "spec has unknown keys ['noise_sd']"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": True, "frequency": 1.0}]},
+         "amplitude True is not a number"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": "0.5"}]},
+         "frequency '0.5' is not a number"),
+        ({"joints": [], "noise_std": False}, "noise_std False is not a number"),
+        ({"joints": [{"joint": 1, "axis": [0, "1", 1], "amplitude": 0.3, "frequency": 1.0}]},
+         "axis '1' is not a number"),
     ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise",
             "large_amplitude", "nan_phase", "inf_phase", "nan_axis", "minus_inf_frequency",
-            "overflowing_axis", "zero_axis"])
+            "overflowing_axis", "zero_axis", "misspelled_key", "misspelled_top_key",
+            "bool_amplitude", "string_frequency", "bool_noise_std", "string_axis"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -146,7 +159,15 @@ class TestSynth:
          "parent 8 of joint 8 must be -1 or an earlier joint"),
         ("joint_names", ["root", "spine", "head", "l_collar", "l_arm", "r_collar", "r_arm",
                          "leg", "leg"], "joint names ['leg'] are not unique"),
-    ], ids=["negative_parent", "own_parent", "repeated_name"])
+        ("parent", [-1, 0.9, 1.5, 1, 3, 1, 5, 0, 0], "parent 0.9 is not an integer"),
+        ("parent", [-1, False, 1, 1, 3, 1, 5, 0, 0], "parent False is not an integer"),
+        ("mirror_pair", [0, 1, 2, 5, 6, 3, 4, 8, 7.0], "mirror_pair 7.0 is not an integer"),
+        ("offset", [[0, 0, 0], ["1e2", 200, 0]] + [[0, 100, 0]] * 7,
+         "offset '1e2' is not a number"),
+        ("offset", [[0, 0, 0], [0, True, 0]] + [[0, 100, 0]] * 7,
+         "offset True is not a number"),
+    ], ids=["negative_parent", "own_parent", "repeated_name", "float_parent", "bool_parent",
+            "float_mirror", "string_offset", "bool_offset"])
     def test_bad_skeleton_file_is_usage_error(self, tmp_path, capsys, field, value, named):
         sk = motiondata.default_skeleton()
         fields = {"joint_names": sk.joint_names, "parent": sk.parent.tolist(),
@@ -714,7 +735,8 @@ class TestRollout:
         assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header"])
+    @pytest.mark.parametrize("damage", ["unknown_key", "cut_in_record_header",
+                                        "zero_beside_huge_dims", "repeated_name"])
     def test_damaged_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, damage):
         blob = (workdir / "run" / "best.stt1").read_bytes()
         header, tensors = blob.split(b"\n", 1)
@@ -723,9 +745,16 @@ class TestRollout:
             values["n_layer"] = 1
             blob = json.dumps(values).encode() + b"\n" + tensors
             named = "unknown keys ['n_layer']"
-        else:  # inside the first record's name length
+        elif damage == "cut_in_record_header":  # inside the first record's name length
             blob = blob[:len(header) + 1 + 4 + 2]
             named = "tensor record 0 name length"
+        elif damage == "zero_beside_huge_dims":
+            blob += struct.pack("<I1sI3I", 1, b"z", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1)
+            named = "tensor 'z': dims [0, 4294967295, 4294967295] are too large"
+        else:  # a second record, a scalar, named as the first
+            name = tensors[8:8 + struct.unpack("<I", tensors[4:8])[0]]
+            blob += struct.pack(f"<I{len(name)}sIf", len(name), name, 0, 0.0)
+            named = f"tensor {name.decode()!r} repeats"
         ckpt = tmp_path / "damaged.stt1"
         ckpt.write_bytes(blob)
         assert cli.main(["rollout", "--checkpoint", str(ckpt),
@@ -833,6 +862,41 @@ class TestMemoryBudget:
         assert len(err) == 1 and named in err[0] and "MiB budget" in err[0], err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["budget.cfg"]
 
+    @pytest.mark.parametrize("command", ["train", "eval", "rollout", "bench"])
+    def test_each_command_checks_the_model_account(self, workdir, tmp_path, monkeypatch,
+                                                   command):
+        seen = []
+
+        def budget(what, nbytes, budget_mib=cli.DEFAULT_MEMORY_BUDGET_MIB):
+            seen.append(nbytes)
+            raise ConfigError("recorded")  # stop before any work
+
+        monkeypatch.setattr(cli, "_check_budget", budget)
+        data, ckpt, out = workdir / "data.stm1", workdir / "run" / "best.stt1", tmp_path / "o"
+        cfg = model.load_checkpoint(ckpt)[0]  # CONFIG's architecture, 9 joints
+        seed_file = tmp_path / "seed.stm1"
+        seq = motiondata.load_motion(data)
+        motiondata.save_motion(seed_file, motiondata.MotionSequence(
+            seq.skeleton, seq.rotations[:5], seq.frame_rate))
+        argv, want = {
+            # batch 2 and 2 validation windows of 8 + 24 frames (400 ms at 60 fps)
+            "train": (["--data", str(data), "--config", str(workdir / "tiny.cfg"),
+                       "--out-dir", str(out)],
+                      model.budget_bytes(cfg, 2, 0) + model.budget_bytes(cfg, 2, 8 + 24)),
+            "eval": (["--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)],
+                     model.budget_bytes(cfg, 16, 8 + 24)),
+            # the buffer holds the 5 seed frames and 6 predicted ones
+            "rollout": (["--checkpoint", str(ckpt), "--seed-file", str(seed_file),
+                         "--seconds", "0.1", "--out", str(out)],
+                        model.budget_bytes(cfg, 1, 5 + 6)),
+            "bench": (["--variant", "st", "--grid", "1,8,3", "--out", str(out)],
+                      model.budget_bytes(model.ModelConfig(
+                          embed_dim=16, n_heads=2, n_layers=1, ff_size=32, window=8,
+                          dropout=0.0), 3, 0)),
+        }[command]
+        assert cli.main([command, *argv]) == (0 if command == "bench" else 2)
+        assert seen == [want]
+
     @pytest.mark.parametrize("budget", ["0", "-1", "-5"])
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_budget_below_one_mib_is_refused_before_any_work(self, workdir, tmp_path, capsys,
@@ -860,8 +924,7 @@ class TestMemoryBudget:
         cfg = model.ModelConfig(embed_dim=8, n_heads=2, n_layers=1, ff_size=8, window=8,
                                 dropout=0.0)
         horizon = 24  # val_horizon_ms 400 at 60 fps
-        need = 4 * (model.estimate_workspace_elements(cfg, 1000000)
-                    + 2 * (8 + horizon) * 9 * 9 + model.estimate_workspace_elements(cfg, 2))
+        need = model.budget_bytes(cfg, 1000000, 0) + model.budget_bytes(cfg, 2, 8 + horizon)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].endswith(
             f"needs {-(-need // 2 ** 20)} MiB, over the 2048 MiB budget"), err

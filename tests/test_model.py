@@ -227,7 +227,7 @@ class TestScoreCounters:
             assert maps.temporal == maps.spatial == []
             assert stats.scores_per_layer[:-1] == full_stats.scores_per_layer[:-1]
         else:
-            assert stats.workspace_elements == mo.estimate_workspace_elements(cfg, 2)
+            assert 4 * stats.workspace_elements == mo.budget_bytes(cfg, 2, 0)
 
     def test_decoupled_cheaper_than_full_2d(self):
         n, t = 9, 32

@@ -270,10 +270,11 @@ class TestFileFormats:
         (lambda h, t: h.update(frame_rate=True), "frame_rate True is not a positive number"),
         (lambda h, t: h.update(skeleton=[1]), "must be a mapping"),
         (lambda h, t: h.update(skeleton={**h["skeleton"], "pelvis": 0}), "unexpected keyword"),
+        (lambda h, t: h.update(comment="x"), "header has unknown keys ['comment']"),
         (lambda h, t: h["skeleton"].update(mirror_pair=[0] * 9), "involution"),
         (lambda h, t: t.update(rotations=t["rotations"][:, :2]), "bad rotations shape"),
     ], ids=["no_rate", "no_parent", "no_rotations", "rate_type", "rate_zero", "rate_bool",
-            "skeleton_type", "skeleton_key", "mirror", "shape"])
+            "skeleton_type", "skeleton_key", "header_key", "mirror", "shape"])
     def test_bad_header_names_the_file(self, tmp_path, edit, message):
         header = {"frame_rate": 60.0, "skeleton": dataclasses.asdict(md.default_skeleton())}
         tensors = {"rotations": identity_seq(2).rotations}

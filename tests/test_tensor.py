@@ -1,6 +1,8 @@
 import ctypes
 import json
 import math
+import re
+import struct
 import types
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stmotion import tensor as tz
+from stmotion.errors import ConfigError
 from stmotion.tensor import Tape, Tensor, backward, finite_diff_check
 
 
@@ -613,6 +616,38 @@ class TestRecords:
         for k, v in tensors.items():
             assert tensors2[k].shape == v.shape and tensors2[k].dtype == np.float32
             np.testing.assert_array_equal(tensors2[k], v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.text("ab", max_size=2),
+                              st.lists(st.sampled_from([0, 1, 2, 65535, 2 ** 32 - 1]),
+                                       max_size=4)),
+                    max_size=3))
+    def test_every_cut_of_a_record_loads_or_names_the_file(self, tmp_path_factory, tensors):
+        # records written by hand: dims no array could hold, names that repeat,
+        # and the values of a large tensor cut short
+        blob = b"{}\n" + tz._MAGIC
+        loads, loaded = True, []
+        expect = {len(blob): []}  # cut length -> the (name, shape)s it loads
+        for name, dims in tensors:
+            size = math.prod(dims)
+            values = min(size, 4)
+            encoded = name.encode()
+            blob += (struct.pack(f"<I{len(encoded)}sI{len(dims)}I", len(encoded), encoded,
+                                 len(dims), *dims) + bytes(4 * values))
+            holdable = 4 * math.prod(d for d in dims if d) <= np.iinfo(np.intp).max
+            loads = loads and values == size and holdable and name not in dict(loaded)
+            if loads:
+                loaded.append((name, tuple(dims)))
+                expect[len(blob)] = list(loaded)
+        p = tmp_path_factory.mktemp("cuts") / "r.stt1"
+        for cut in range(len(blob) + 1):
+            p.write_bytes(blob[:cut])
+            if cut in expect:
+                got = tz.load_record(p)[1]
+                assert [(k, v.shape) for k, v in got.items()] == expect[cut]
+            else:
+                with pytest.raises(ConfigError, match=re.escape(f"{p}: ")):
+                    tz.load_record(p)
 
     def test_values_are_read_into_fresh_aligned_arrays(self, tmp_path):
         p = tmp_path / "r.stt1"
