@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import numbers
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import evalmetrics, model, motiondata, training
-from .errors import ConfigError, NumericError, file_errors
+from .errors import ConfigError, NumericError, brief, check_keys, check_number, file_errors
 from .tensor import atomic_write
 
 EXIT_OK = 0
@@ -42,7 +43,7 @@ def _check_budget(what: str, nbytes: int, budget_mib: int = DEFAULT_MEMORY_BUDGE
 
 
 def _at_least(low: int):
-    """The argparse type of every integer flag: an integer >= low."""
+    """The argparse type of every integer flag: an integer >= low that an int64 holds."""
     want = "a non-negative integer" if low == 0 else f"an integer >= {low}"
 
     def flag(value: str) -> int:
@@ -51,7 +52,11 @@ def _at_least(low: int):
         except ValueError:
             n = None
         if n is None or n < low:
-            raise argparse.ArgumentTypeError(f"must be {want}, got {value!r}")
+            raise argparse.ArgumentTypeError(f"must be {want}, got {brief(value)}")
+        try:
+            check_number("value", n, numbers.Integral)
+        except ConfigError as err:  # as a ValueError, argparse would show the whole value
+            raise argparse.ArgumentTypeError(str(err)) from None
         return n
 
     return flag
@@ -107,14 +112,13 @@ def _build_configs(args, n_joints: int):
     file_cfg = _parse_config_file(args.config) if args.config else {}
     mfields = set(model.ModelConfig.__dataclass_fields__)
     tfields = set(training.TrainConfig.__dataclass_fields__)
-    unknown = set(file_cfg) - mfields - tfields
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    check_keys(f"config file {args.config}", file_cfg, mfields | tfields)
     # each train flag's dest is its config key; a flag given overrides the file
     flags = {k: v for k, v in vars(args).items() if k in mfields | tfields and v is not None}
     kw = {"n_joints": n_joints, **file_cfg, **flags}
-    return (model.ModelConfig(**{k: v for k, v in kw.items() if k in mfields}),
-            training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
+    with file_errors("config file", args.config):  # flags are checked as they are parsed
+        return (model.ModelConfig(**{k: v for k, v in kw.items() if k in mfields}),
+                training.TrainConfig(**{k: v for k, v in kw.items() if k in tfields}))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +129,8 @@ def _build_configs(args, n_joints: int):
 def cmd_synth(args) -> int:
     if not 0 < args.fps < math.inf:
         raise ConfigError(f"--fps must be a positive finite rate, got {args.fps:g}")
-    if args.noise_std is not None and not 0 <= args.noise_std < math.inf:
-        raise ConfigError(f"--noise-std must be finite and >= 0, got {args.noise_std:g}")
+    if args.noise_std is not None and not 0 <= args.noise_std < math.pi:
+        raise ConfigError(f"--noise-std must be >= 0 and < pi, got {args.noise_std:g}")
     if args.skeleton == "default":
         skeleton = motiondata.default_skeleton()
     else:

@@ -9,11 +9,12 @@ in milliseconds and averaged over all frames up to each horizon.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from . import so3
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .motiondata import JOINT_DIM, Skeleton, fk_positions
 
 
@@ -46,12 +47,13 @@ def horizon_frames(horizons_ms, frame_rate: float) -> list[int]:
 def span_frames(name: str, value: float, fps: float, per_second: float = 1.0) -> int:
     """The frame count at `fps` of `value`, given in 1/per_second seconds: the
     rule of `eval --horizons`, `rollout --seconds` and training's
-    `val_horizon_ms`. A span that is not finite or rounds to no frame is a
-    ConfigError naming `name`."""
+    `val_horizon_ms`. A span that is not finite, rounds to no frame or to
+    more than an int64 holds is a ConfigError naming `name`."""
     span = value / per_second * fps
     if not (math.isfinite(span) and round(span) >= 1):
         raise ConfigError(f"{name} {value:g} spans {span:g} frames at {fps:g} fps; "
                           f"need a finite number that rounds to at least one")
+    check_number(f"{name} {value:g} at {fps:g} fps: frame count", round(span), numbers.Integral)
     return round(span)
 
 

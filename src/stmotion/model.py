@@ -22,12 +22,12 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, NumericError, check_fields, file_errors
+from .errors import ConfigError, NumericError, brief, check_fields, check_keys, file_errors
 from .motiondata import JOINT_DIM
 from .so3 import project_to_so3
 from .tensor import Tensor
@@ -62,12 +62,10 @@ class ModelConfig:
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be divisible by n_heads {self.n_heads}")
-        if self.tau_mode not in TAU_MODES:
-            raise ConfigError(f"unknown tau_mode {self.tau_mode!r}")
-        if self.spatial_sharing not in SHARING_MODES:
-            raise ConfigError(f"unknown spatial_sharing {self.spatial_sharing!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        for name, choices in (("tau_mode", TAU_MODES), ("spatial_sharing", SHARING_MODES),
+                              ("variant", VARIANTS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {brief(getattr(self, name))}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
 
@@ -88,12 +86,7 @@ class ModelConfig:
     def from_json(cls, s: str | bytes) -> "ModelConfig":
         """Inverse of `to_json`; every field must be present, and no other."""
         values = json.loads(s)
-        if not isinstance(values, dict):
-            raise ConfigError("model config must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        for problem, keys in (("unknown", values.keys() - names), ("missing", names - values.keys())):
-            if keys:
-                raise ConfigError(f"model config has {problem} keys {sorted(keys)}")
+        check_keys("model config", values, cls.__dataclass_fields__, cls.__dataclass_fields__)
         return cls(**values)
 
 
@@ -568,18 +561,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Read a checkpoint; its tensor names and shapes must be exactly those
     `init_params` makes for the header's config, else ConfigError."""
     header, arrays = tz.load_record(path)
-    with file_errors("checkpoint", path):  # UTF-8, JSON, fields
+    with file_errors("checkpoint", path):  # UTF-8, JSON, fields, tensor names
         cfg = ModelConfig.from_json(header)
-    want = _param_shapes(cfg)
-    for name in sorted(want.keys() | arrays.keys()):
-        if name not in arrays:
-            problem = "is missing"
-        elif name not in want:
-            problem = "is not a parameter of its config"
-        elif arrays[name].shape != want[name]:
-            problem = f"has shape {arrays[name].shape}, its config needs {want[name]}"
-        else:
-            continue
-        raise ConfigError(f"checkpoint {path}: tensor {name!r} {problem}")
+        want = _param_shapes(cfg)
+        check_keys("tensor set", arrays, want, want)
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(f"checkpoint {path}: tensor {name!r} has shape "
+                              f"{arrays[name].shape}, its config needs {shape}")
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     return cfg, params

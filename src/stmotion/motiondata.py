@@ -19,20 +19,12 @@ import numpy as np
 
 from . import so3
 from . import tensor as tz
-from .errors import ConfigError, file_errors
+from .errors import ConfigError, brief, check_keys, check_number, file_errors
 
 JOINT_DIM = 9  # flattened 3x3 rotation per joint
 
 # sagittal reflection used by the mirror augmentation
 _SAGITTAL = np.diag([-1.0, 1.0, 1.0])
-
-
-def _check_number(name: str, value, kind=numbers.Real):
-    """The value rule of skeleton, spec and noise fields: `value` is a `kind`
-    (a real number, or an integer), never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        want = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} {value!r} is not {want}")
 
 
 @dataclass
@@ -48,16 +40,18 @@ class Skeleton:
         for name, kind in (("parent", numbers.Integral), ("offset", numbers.Real),
                            ("mirror_pair", numbers.Integral)):
             for v in np.asarray(getattr(self, name), dtype=object).flat:
-                _check_number(name, v, kind)
+                check_number(name, v, kind)
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.offset = np.asarray(self.offset, dtype=np.float64)
         self.mirror_pair = np.asarray(self.mirror_pair, dtype=np.int64)
+        if not (isinstance(self.joint_names, list)
+                and all(isinstance(j, str) for j in self.joint_names)):
+            raise ValueError(f"joint_names {brief(self.joint_names)} is not a list of strings")
         n = len(self.joint_names)
-        if self.parent.shape != (n,) or self.offset.shape != (n, 3) or self.mirror_pair.shape != (n,):
-            raise ValueError("skeleton field shapes are inconsistent")
-        for name, row in zip(self.joint_names, self.offset):
-            if not np.isfinite(row).all():
-                raise ValueError(f"offset of joint {name!r} must be finite, got {row.tolist()}")
+        for name, shape in (("parent", (n,)), ("offset", (n, 3)), ("mirror_pair", (n,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}; the {n} "
+                                 f"joint_names need {shape}")
         repeated = sorted({j for j in self.joint_names if self.joint_names.count(j) > 1})
         if repeated:
             raise ValueError(f"joint names {repeated} are not unique")
@@ -114,9 +108,9 @@ class MotionSequence:
     frame_rate: float      # frames per second: a real number, positive and finite
 
     def __post_init__(self):
-        rate = self.frame_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < math.inf:
-            raise ValueError(f"frame_rate {rate!r} is not a positive number")
+        check_number("frame_rate", self.frame_rate)
+        if not self.frame_rate > 0:
+            raise ValueError(f"frame_rate {self.frame_rate!r} is not a positive number")
         self.rotations = np.asarray(self.rotations, dtype=np.float32)
         if self.rotations.ndim != 4 or self.rotations.shape[1] != self.skeleton.n_joints \
                 or self.rotations.shape[2:] != (3, 3):
@@ -165,14 +159,12 @@ class JointMotionSpec:
 
     def __post_init__(self):
         for v in np.asarray(self.axis, dtype=object).flat:
-            _check_number("axis", v)
+            check_number("axis", v)
         for name in ("amplitude", "frequency", "phase"):
-            _check_number(name, getattr(self, name))
+            check_number(name, getattr(self, name))
         self.axis = np.asarray(self.axis, dtype=np.float64)
         if self.axis.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {self.axis.shape}")
-        if not np.isfinite(self.axis).all():
-            raise ValueError(f"axis must be finite, got {self.axis.tolist()}")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(self.axis)
         if not 0 < norm < math.inf:
@@ -180,9 +172,6 @@ class JointMotionSpec:
         self.axis = self.axis / norm
         if not abs(self.amplitude) < np.pi:
             raise ValueError(f"amplitude must be < pi, got {self.amplitude}")
-        for name in ("frequency", "phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "frame_rate"):
@@ -195,9 +184,9 @@ def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "f
 
 
 def _check_noise_std(noise_std: float):
-    _check_number("noise_std", noise_std)
-    if not (noise_std >= 0 and math.isfinite(noise_std)):  # an int may pass float's range
-        raise ValueError(f"noise_std {noise_std!r} must be finite and >= 0")
+    check_number("noise_std", noise_std)
+    if not 0 <= noise_std < math.pi:
+        raise ValueError(f"noise_std {noise_std!r} must be >= 0 and < pi")
 
 
 def synth_bytes_per_frame(n_joints: int) -> int:
@@ -276,27 +265,28 @@ def save_motion(path, seq: MotionSequence):
                    {"rotations": seq.rotations})
 
 
+_SKELETON_KEYS = tuple(Skeleton.__dataclass_fields__)  # all required
+_SPEC_KEYS = tuple(JointMotionSpec.__dataclass_fields__)  # all but phase, the last, required
+
+
 def load_motion(path) -> MotionSequence:
     """Read what `save_motion` wrote; a bad or incomplete header, or rotations
     that do not fit the skeleton, are a ConfigError naming the file."""
     header, tensors = tz.load_record(path)
     with file_errors("motion file", path):
         header = json.loads(header)
-        rate = header["frame_rate"]
-        _check_keys(header, ("frame_rate", "skeleton"), "header")
-        return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"], rate)
-
-
-def _check_keys(d: dict, keys, what: str):
-    """The key rule of motion headers and spec files: `d` has no key beside `keys`."""
-    unknown = d.keys() - set(keys)
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
+        check_keys("header", header, ("frame_rate", "skeleton"), ("frame_rate", "skeleton"))
+        check_keys("tensor set", tensors, ("rotations",), ("rotations",))
+        check_keys("skeleton", header["skeleton"], _SKELETON_KEYS, _SKELETON_KEYS)
+        return MotionSequence(Skeleton(**header["skeleton"]), tensors["rotations"],
+                              header["frame_rate"])
 
 
 def skeleton_from_json(path) -> Skeleton:
     with open(path, encoding="utf-8") as fh, file_errors("skeleton file", path):
-        return Skeleton(**json.load(fh))
+        d = json.load(fh)
+        check_keys("skeleton", d, _SKELETON_KEYS, _SKELETON_KEYS)
+        return Skeleton(**d)
 
 
 def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpec], float]:
@@ -305,24 +295,19 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
     Joints may be referenced by index or by name."""
     with open(path, encoding="utf-8") as fh, file_errors("spec file", path):
         d = json.load(fh)
+        check_keys("spec", d, ("joints", "noise_std"), ("joints",))
+        if not isinstance(d["joints"], list):
+            raise ValueError(f"joints {brief(d['joints'])} is not a list")
         specs = []
         for i, item in enumerate(d["joints"]):
+            check_keys(f"joints entry {i}", item, _SPEC_KEYS, _SPEC_KEYS[:-1])
             joint = item["joint"]
-            _check_keys(item, ("joint", "axis", "amplitude", "frequency", "phase"),
-                        f"joints entry {i}")
-            if isinstance(joint, str):
+            if joint in skeleton.joint_names:
                 joint = skeleton.joint_names.index(joint)
             elif type(joint) is not int or not 0 <= joint < skeleton.n_joints:
-                raise ValueError(f"joint {joint!r} is neither a joint name nor an "
+                raise ValueError(f"joint {brief(joint)} is neither a joint name nor an "
                                  f"index below {skeleton.n_joints}")
-            specs.append(JointMotionSpec(
-                joint=joint,
-                axis=item["axis"],
-                amplitude=item["amplitude"],
-                frequency=item["frequency"],
-                phase=item.get("phase", 0.0),
-            ))
-        _check_keys(d, ("joints", "noise_std"), "spec")
+            specs.append(JointMotionSpec(**{**item, "joint": joint}))
         noise_std = d.get("noise_std", 0.0)
         _check_noise_std(noise_std)
         return specs, noise_std

@@ -44,9 +44,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} {value!r} must be a probability in [0, 1]")
-        if not 0 < self.val_horizon_ms < math.inf:
-            raise ConfigError(f"val_horizon_ms {self.val_horizon_ms!r} must be positive "
-                              f"and finite")
+        if not self.val_horizon_ms > 0:
+            raise ConfigError(f"val_horizon_ms {self.val_horizon_ms!r} must be positive")
 
 
 def loss_per_joint_l2(pred: Tensor, target: np.ndarray) -> Tensor:

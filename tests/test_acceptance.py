@@ -21,6 +21,8 @@ from stmotion import so3
 from stmotion import training as tr
 from stmotion.tensor import Tape, Tensor, backward
 
+pytestmark = pytest.mark.slow
+
 
 def check(num: int, desc: str, ok: bool):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {desc}"

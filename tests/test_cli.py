@@ -91,24 +91,25 @@ class TestSynth:
         assert np.abs(seq.rotations[:, 0] - np.eye(3)).max() < 1e-5
 
     @pytest.mark.parametrize("spec, named", [
-        ({}, "no 'joints' entry"),
-        ({"joints": [{"joint": 1, "amplitude": 0.3, "frequency": 1.0}]}, "no 'axis' entry"),
-        ([1], "list indices"),
+        ({}, "spec has missing keys ['joints']"),
+        ({"joints": [{"joint": 1, "amplitude": 0.3, "frequency": 1.0}]},
+         "joints entry 0 has missing keys ['axis']"),
+        ([1], "spec must be a JSON object"),
         ({"joints": [{"joint": 99, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0}]},
          "joint 99"),
         ({"joints": [{"joint": 1, "axis": [1], "amplitude": 0.3, "frequency": 1.0}]},
          "axis must be a 3-vector"),
-        ({"joints": [], "noise_std": -1}, "noise_std -1 must be finite and >= 0"),
+        ({"joints": [], "noise_std": -1}, "noise_std -1 must be >= 0 and < pi"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 4, "frequency": 1.0}]},
          "amplitude must be < pi, got 4"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
-                      "phase": math.nan}]}, "phase must be finite, got nan"),
+                      "phase": math.nan}]}, "phase nan is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 1.0,
-                      "phase": math.inf}]}, "phase must be finite, got inf"),
+                      "phase": math.inf}]}, "phase inf is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [0, math.nan, 1], "amplitude": 0.3, "frequency": 1.0}]},
-         "axis must be finite, got [0.0, nan, 1.0]"),
+         "axis nan is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": -math.inf}]},
-         "frequency must be finite, got -inf"),
+         "frequency -inf is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [1e308, 1e308, 0], "amplitude": 0.3,
                       "frequency": 1.0}]},
          "axis must be nonzero with a finite norm, got [1e+308, 1e+308, 0.0]"),
@@ -118,16 +119,24 @@ class TestSynth:
                       "phse": 1.0}]}, "joints entry 0 has unknown keys ['phse']"),
         ({"joints": [], "noise_sd": 0.5}, "spec has unknown keys ['noise_sd']"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": True, "frequency": 1.0}]},
-         "amplitude True is not a number"),
+         "amplitude True is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": "0.5"}]},
-         "frequency '0.5' is not a number"),
-        ({"joints": [], "noise_std": False}, "noise_std False is not a number"),
+         "frequency '0.5' is not a finite number"),
+        ({"joints": [], "noise_std": False}, "noise_std False is not a finite number"),
         ({"joints": [{"joint": 1, "axis": [0, "1", 1], "amplitude": 0.3, "frequency": 1.0}]},
-         "axis '1' is not a number"),
+         "axis '1' is not a finite number"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 0.3, "frequency": 10 ** 400}]},
+         "frequency 100000000000000000000... is not a finite number"),
+        ({"joints": [{"joint": 1, "axis": [0, 0, 1], "amplitude": 10 ** 400, "frequency": 1.0}]},
+         "amplitude 100000000000000000000... is not a finite number"),
+        ({"joints": [], "noise_std": 1e308}, "noise_std 1e+308 must be >= 0 and < pi"),
+        ({"joints": 5}, "joints 5 is not a list"),
     ], ids=["empty", "no_axis", "list", "joint_99", "short_axis", "negative_noise",
             "large_amplitude", "nan_phase", "inf_phase", "nan_axis", "minus_inf_frequency",
             "overflowing_axis", "zero_axis", "misspelled_key", "misspelled_top_key",
-            "bool_amplitude", "string_frequency", "bool_noise_std", "string_axis"])
+            "bool_amplitude", "string_frequency", "bool_noise_std", "string_axis",
+            "401_digit_frequency", "401_digit_amplitude", "overflowing_noise",
+            "joints_not_a_list"])
     def test_bad_spec_file_is_usage_error(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "spec.json", tmp_path / "m.stm1"
         path.write_text(json.dumps(spec))
@@ -148,8 +157,7 @@ class TestSynth:
         assert cli.main(["synth", "--frames", "10", "--skeleton", str(path),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"skeleton file {path}: offset of joint 'head' must be finite" \
-            in err[0], err
+        assert err == [f"error: skeleton file {path}: offset {value!r} is not a finite number"]
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, named", [
@@ -159,15 +167,23 @@ class TestSynth:
          "parent 8 of joint 8 must be -1 or an earlier joint"),
         ("joint_names", ["root", "spine", "head", "l_collar", "l_arm", "r_collar", "r_arm",
                          "leg", "leg"], "joint names ['leg'] are not unique"),
-        ("parent", [-1, 0.9, 1.5, 1, 3, 1, 5, 0, 0], "parent 0.9 is not an integer"),
-        ("parent", [-1, False, 1, 1, 3, 1, 5, 0, 0], "parent False is not an integer"),
-        ("mirror_pair", [0, 1, 2, 5, 6, 3, 4, 8, 7.0], "mirror_pair 7.0 is not an integer"),
+        ("parent", [-1, 0.9, 1.5, 1, 3, 1, 5, 0, 0], "parent 0.9 is not a 64-bit integer"),
+        ("parent", [-1, False, 1, 1, 3, 1, 5, 0, 0], "parent False is not a 64-bit integer"),
+        ("mirror_pair", [0, 1, 2, 5, 6, 3, 4, 8, 7.0], "mirror_pair 7.0 is not a 64-bit integer"),
         ("offset", [[0, 0, 0], ["1e2", 200, 0]] + [[0, 100, 0]] * 7,
-         "offset '1e2' is not a number"),
+         "offset '1e2' is not a finite number"),
         ("offset", [[0, 0, 0], [0, True, 0]] + [[0, 100, 0]] * 7,
-         "offset True is not a number"),
+         "offset True is not a finite number"),
+        ("parent", [-1, 0, 1, 1, 3, 1, 5, 0, 10 ** 400],
+         "parent 100000000000000000000... is not a 64-bit integer"),
+        ("joint_names", "abcdefghi", "joint_names 'abcdefghi' is not a list of strings"),
+        ("joint_names", list(range(9)),
+         "joint_names [0, 1, 2, 3, 4, 5, 6,... is not a list of strings"),
+        ("joint_names", 5, "joint_names 5 is not a list of strings"),
+        ("parent", [-1, 0], "parent has shape (2,); the 9 joint_names need (9,)"),
     ], ids=["negative_parent", "own_parent", "repeated_name", "float_parent", "bool_parent",
-            "float_mirror", "string_offset", "bool_offset"])
+            "float_mirror", "string_offset", "bool_offset", "401_digit_parent",
+            "string_names", "integer_names", "int_for_names", "short_parent"])
     def test_bad_skeleton_file_is_usage_error(self, tmp_path, capsys, field, value, named):
         sk = motiondata.default_skeleton()
         fields = {"joint_names": sk.joint_names, "parent": sk.parent.tolist(),
@@ -182,6 +198,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--noise-std", "-1"), ("--noise-std", "nan"), ("--noise-std", "inf"),
+        ("--noise-std", "4"),
         ("--fps", "nan"), ("--fps", "inf"), ("--fps", "0"), ("--fps", "-60"),
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -334,12 +351,12 @@ class TestTrain:
         assert len((d / "history.csv").read_text().strip().split("\n")) == 1 + 1
 
     @pytest.mark.parametrize("line, named", [
-        ("embed_dim = abc", "embed_dim 'abc' must be int"),
-        ("dropout = high", "dropout 'high' must be float"),
-        ("embed_dim = 16.0", "embed_dim 16.0 must be int"),
-        ("n_layers = 1.5", "n_layers 1.5 must be int"),
-        ("batch_size = 4.5", "batch_size 4.5 must be int"),
-        ("seed = x", "seed 'x' must be int"),
+        ("embed_dim = abc", "embed_dim 'abc' is not a 64-bit integer"),
+        ("dropout = high", "dropout 'high' is not a finite number"),
+        ("embed_dim = 16.0", "embed_dim 16.0 is not a 64-bit integer"),
+        ("n_layers = 1.5", "n_layers 1.5 is not a 64-bit integer"),
+        ("batch_size = 4.5", "batch_size 4.5 is not a 64-bit integer"),
+        ("seed = x", "seed 'x' is not a 64-bit integer"),
         ("eval_every = 0", "eval_every 0 must be >= 1"),
         ("embed_dim = 0", "embed_dim 0 must be >= 1"),
         ("n_val_windows = 0", "n_val_windows 0 must be >= 1"),
@@ -347,21 +364,23 @@ class TestTrain:
         ("val_horizon_ms = inf", "val_horizon_ms inf"),
         ("embed_dim = 5\nn_heads = 1", "embed_dim 5 must be even"),
         ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
-        ("joint_dim = 6", "unknown config keys: ['joint_dim']"),
-        ("max_grad_norm = 2.0", "unknown config keys: ['max_grad_norm']"),
-        ("seed = 1_0", "seed '1_0' must be int"),
-        ("max_steps = \uff15", "max_steps '\uff15' must be int"),
+        ("joint_dim = 6", "has unknown keys ['joint_dim']"),
+        ("max_grad_norm = 2.0", "has unknown keys ['max_grad_norm']"),
+        ("seed = 1_0", "seed '1_0' is not a 64-bit integer"),
+        ("max_steps = \uff15", "max_steps '\uff15' is not a 64-bit integer"),
+        ("embed_dim = 1" + "0" * 400, "embed_dim 100000000000000000000... is not a 64-bit integer"),
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
             "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one",
-            "joint_dim", "max_grad_norm", "seed_digit_separator", "max_steps_fullwidth_digit"])
+            "joint_dim", "max_grad_norm", "seed_digit_separator", "max_steps_fullwidth_digit",
+            "embed_dim_401_digits"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(config_with(line), encoding="utf-8")
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),
                          "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and named in err[0], err
+        assert len(err) == 1 and f"config file {bad}" in err[0] and named in err[0], err
         assert not (tmp_path / "x").exists()
 
     def test_validation_horizon_under_a_frame_is_usage_error(self, workdir, tmp_path, capsys):
@@ -548,7 +567,7 @@ class TestEval:
     # "1" and "100,8" round to zero frames at 60 fps; the report holds one row
     # per horizon, so a repeated one is refused
     @pytest.mark.parametrize("horizons", ["0", "-100", "inf", "nan", "100,0", "1", "100,8",
-                                          "100,100", "100,400,100.0"])
+                                          "100,100", "100,400,100.0", "1e300"])
     def test_bad_horizons_are_usage_errors(self, workdir, tmp_path, capsys, horizons):
         out = tmp_path / "m.csv"
         assert cli.main(["eval", "--data", str(workdir / "data.stm1"),
@@ -556,7 +575,7 @@ class TestEval:
                          "--horizons", horizons, "--n-windows", "2",
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "--horizons" in err[0]
+        assert len(err) == 1 and "--horizons" in err[0] and len(err[0]) <= 300, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "rollout"])
@@ -572,7 +591,7 @@ class TestEval:
         assert cli.main([command, "--checkpoint", str(ckpt), *args,
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "'l0.ln.g' is missing" in err[0]
+        assert len(err) == 1 and "tensor set has missing keys ['l0.ln.g']" in err[0]
 
 
 class TestRollout:
@@ -681,7 +700,8 @@ class TestRollout:
         assert not out.exists()
 
     @pytest.mark.parametrize("seconds, named", [
-        ("1e12", "MiB budget"), ("1e308", "inf frames")], ids=["1e12", "1e308"])
+        ("1e12", "MiB budget"), ("1e308", "inf frames"), ("1e300", "is not a 64-bit integer")],
+        ids=["1e12", "1e308", "1e300"])
     def test_output_too_large_is_usage_error(self, workdir, tmp_path, capsys,
                                              seconds, named):
         seed_file = tmp_path / "seed.stm1"
@@ -957,6 +977,20 @@ class TestParsing:
                   "--seed": 0, "--memory-budget": 1},
     }
 
+    @staticmethod
+    def _argv_reading_no_file(workdir, out, command, monkeypatch):
+        """The other flags `command` requires; reading any file fails the test."""
+        def read(*args, **kwargs):
+            raise AssertionError("the flag must be checked before any file is read")
+
+        for mod, name in ((motiondata, "load_motion"), (model, "load_checkpoint")):
+            monkeypatch.setattr(mod, name, read)
+        return {"synth": ["--frames", "10", "--out", str(out)],
+                "train": ["--data", str(workdir / "data.stm1"), "--out-dir", str(out)],
+                "eval": ["--data", str(workdir / "data.stm1"), "--out", str(out),
+                         "--checkpoint", str(workdir / "run" / "best.stt1")],
+                "bench": ["--variant", "st", "--out", str(out)]}[command]
+
     @pytest.mark.parametrize("command, flag, value", [
         (command, flag, value)
         for command, flags in INTEGER_FLAGS.items()
@@ -964,20 +998,21 @@ class TestParsing:
         for value in (["0", "-1", "x"] if low == 1 else ["-1", "x"])])
     def test_bad_integer_flag_is_one_usage_line(self, workdir, tmp_path, capsys, monkeypatch,
                                                 command, flag, value):
-        def read(*args, **kwargs):
-            raise AssertionError("the flag must be checked before any file is read")
-
-        for mod, name in ((motiondata, "load_motion"), (model, "load_checkpoint")):
-            monkeypatch.setattr(mod, name, read)
-        out = tmp_path / "out"
-        argv = {"synth": ["--frames", "10", "--out", str(out)],
-                "train": ["--data", str(workdir / "data.stm1"), "--out-dir", str(out)],
-                "eval": ["--data", str(workdir / "data.stm1"), "--out", str(out),
-                         "--checkpoint", str(workdir / "run" / "best.stt1")],
-                "bench": ["--variant", "st", "--out", str(out)]}[command]
+        argv = self._argv_reading_no_file(workdir, tmp_path / "out", command, monkeypatch)
         assert cli.main([command, *argv, flag, value]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"argument {flag}:" in err[0] and f"got '{value}'" in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in INTEGER_FLAGS.items() for flag in flags])
+    def test_integer_flag_beyond_int64_is_one_usage_line(self, workdir, tmp_path, capsys,
+                                                         monkeypatch, command, flag):
+        argv = self._argv_reading_no_file(workdir, tmp_path / "out", command, monkeypatch)
+        assert cli.main([command, *argv, flag, "1" + "0" * 60]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: argument {flag}: value 100000000000000000000... "
+                       f"is not a 64-bit integer"], err
         assert list(tmp_path.iterdir()) == []
 
     def test_every_integer_flag_takes_the_one_rule(self):
@@ -1179,13 +1214,13 @@ class TestFileFormats:
         data, ckpt = str(workdir / "data.stm1"), str(workdir / "run" / "best.stt1")
         argv, named = {
             "train": (["train", "--data", ckpt, "--out-dir", str(tmp_path / "run")],
-                      f"motion file {ckpt}: no 'frame_rate' entry"),
+                      f"motion file {ckpt}: header has unknown keys"),
             "eval": (["eval", "--data", data, "--checkpoint", data,
                       "--out", str(tmp_path / "m.csv")],
                      f"checkpoint {data}: model config has unknown keys"),
             "rollout": (["rollout", "--checkpoint", ckpt, "--seed-file", ckpt,
                          "--seconds", "0.05", "--out", str(tmp_path / "p.stm1")],
-                        f"motion file {ckpt}: no 'frame_rate' entry"),
+                        f"motion file {ckpt}: header has unknown keys"),
         }[command]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()

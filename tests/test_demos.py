@@ -11,6 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize("demo", ["01_synthetic_motion_and_fk.py",
                                   "02_train_tiny_model.py",

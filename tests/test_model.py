@@ -36,7 +36,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw, named", [
         (dict(ff_per_branch=1), "ff_per_branch 1 must be bool"),
-        (dict(n_layers=True), "n_layers True must be int"),
+        (dict(n_layers=True), "n_layers True is not a 64-bit integer"),
         (dict(window=0), "window 0 must be >= 1"),
         (dict(embed_dim=5, n_heads=1), "embed_dim 5 must be even"),
     ], ids=["int_for_bool", "bool_for_int", "zero_window", "odd_embed_dim"])
@@ -766,9 +766,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(params2[k].data, params[k].data)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda p: p.pop("l1.ln.g"), "tensor 'l1.ln.g' is missing"),
+        (lambda p: p.pop("l1.ln.g"), "tensor set has missing keys ['l1.ln.g']"),
         (lambda p: p.update(extra=np.zeros(3, np.float32)),
-         "tensor 'extra' is not a parameter of its config"),
+         "tensor set has unknown keys ['extra']"),
         (lambda p: p.update({"l0.t.wq": p["l0.t.wq"][:, :1]}),
          "tensor 'l0.t.wq' has shape (3, 1, 8, 4), its config needs (3, 2, 8, 4)"),
     ], ids=["missing", "extra", "shape"])

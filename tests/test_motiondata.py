@@ -154,12 +154,13 @@ class TestSynthMotion:
         with pytest.raises(ValueError):
             md.synth_motion(sk, 10, 60.0, md.two_frequency_spec(sk), noise_std=0.1)
 
-    @pytest.mark.parametrize("rate, spec", [(math.inf, True), (0.0, False)],
+    @pytest.mark.parametrize("rate, spec, rule", [(math.inf, True, "a finite"),
+                                                  (0.0, False, "a positive")],
                              ids=["inf_passes_the_aliasing_rule", "zero_without_a_spec"])
-    def test_rejects_a_rate_no_motion_file_holds(self, rate, spec):
+    def test_rejects_a_rate_no_motion_file_holds(self, rate, spec, rule):
         # no aliasing check stops these rates; the sequence's own rule does
         sk = md.default_skeleton()
-        with pytest.raises(ValueError, match=f"frame_rate {rate!r} is not a positive number"):
+        with pytest.raises(ValueError, match=f"frame_rate {rate!r} is not {rule} number"):
             md.synth_motion(sk, 4, rate, md.two_frequency_spec(sk) if spec else [])
 
 
@@ -262,14 +263,15 @@ class TestFileFormats:
         np.testing.assert_array_equal(loaded.rotations, seq.rotations)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda h, t: h.pop("frame_rate"), "no 'frame_rate' entry"),
-        (lambda h, t: h["skeleton"].pop("parent"), "missing 1 required positional argument"),
-        (lambda h, t: t.pop("rotations"), "no 'rotations' entry"),
-        (lambda h, t: h.update(frame_rate="60"), "frame_rate '60' is not a positive number"),
+        (lambda h, t: h.pop("frame_rate"), "header has missing keys ['frame_rate']"),
+        (lambda h, t: h["skeleton"].pop("parent"), "skeleton has missing keys ['parent']"),
+        (lambda h, t: t.pop("rotations"), "tensor set has missing keys ['rotations']"),
+        (lambda h, t: h.update(frame_rate="60"), "frame_rate '60' is not a finite number"),
         (lambda h, t: h.update(frame_rate=0), "frame_rate 0 is not a positive number"),
-        (lambda h, t: h.update(frame_rate=True), "frame_rate True is not a positive number"),
-        (lambda h, t: h.update(skeleton=[1]), "must be a mapping"),
-        (lambda h, t: h.update(skeleton={**h["skeleton"], "pelvis": 0}), "unexpected keyword"),
+        (lambda h, t: h.update(frame_rate=True), "frame_rate True is not a finite number"),
+        (lambda h, t: h.update(skeleton=[1]), "skeleton must be a JSON object"),
+        (lambda h, t: h.update(skeleton={**h["skeleton"], "pelvis": 0}),
+         "skeleton has unknown keys ['pelvis']"),
         (lambda h, t: h.update(comment="x"), "header has unknown keys ['comment']"),
         (lambda h, t: h["skeleton"].update(mirror_pair=[0] * 9), "involution"),
         (lambda h, t: t.update(rotations=t["rotations"][:, :2]), "bad rotations shape"),
@@ -285,9 +287,12 @@ class TestFileFormats:
                            + re.escape(message)):
             md.load_motion(p)
 
-    @pytest.mark.parametrize("rate", [True, "60", np.nan, -1.0, 0, math.inf, None])
-    def test_sequence_frame_rate_is_a_positive_real(self, rate):
-        with pytest.raises(ValueError, match=re.escape(f"frame_rate {rate!r} is not a positive")):
+    @pytest.mark.parametrize("rate, rule", [
+        pytest.param(rate, rule, id=str(rate)) for rate, rule in [
+            (True, "a finite"), ("60", "a finite"), (np.nan, "a finite"), (-1.0, "a positive"),
+            (0, "a positive"), (math.inf, "a finite"), (None, "a finite")]])
+    def test_sequence_frame_rate_is_a_positive_real(self, rate, rule):
+        with pytest.raises(ValueError, match=re.escape(f"frame_rate {rate!r} is not {rule} number")):
             md.MotionSequence(md.default_skeleton(), identity_seq(2).rotations, rate)
 
     @pytest.mark.parametrize("rate", [60, 60.0, np.float32(24.0), np.int64(30)])

@@ -310,7 +310,7 @@ class TestTrainLoop:
         (dict(val_horizon_ms=0.0), "val_horizon_ms 0.0"),
         (dict(mirror_prob=1.5), "mirror_prob 1.5 must be a probability"),
         (dict(reverse_prob=-2), "reverse_prob -2 must be a probability"),
-        (dict(mirror_prob=float("nan")), "mirror_prob nan must be a probability"),
+        (dict(mirror_prob=float("nan")), "mirror_prob nan is not a finite number"),
     ], ids=["negative_seed", "zero_horizon", "mirror_above_one",
             "reverse_negative", "mirror_nan"])
     def test_bad_value_names_the_field(self, kw, named):
