@@ -1,7 +1,10 @@
 """Command-line entry points: synth, train, eval, rollout, bench.
 
-Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Every
-command is deterministic given identical flags, inputs and seeds.
+Exit codes: 0 success; 2 a usage error, that is a ConfigError (a flag,
+config key or file that breaks its rule) or an OSError (a file that cannot
+be read or written); 3 a NumericError. Each is one `error:` line. Any other
+exception is a defect and ends in a traceback. Every command is
+deterministic given identical flags, inputs and seeds.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import math
 import numbers
 import os
 import sys
@@ -60,6 +62,15 @@ def _at_least(low: int):
         return n
 
     return flag
+
+
+def _real(value: str) -> float:
+    """The argparse type of every float flag: `float` of the text (the flag's
+    rule is its owner's), showing at most `brief` of text that is no number."""
+    try:
+        return float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {brief(value)}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,10 +138,9 @@ def _build_configs(args, n_joints: int):
 
 
 def cmd_synth(args) -> int:
-    if not 0 < args.fps < math.inf:
-        raise ConfigError(f"--fps must be a positive finite rate, got {args.fps:g}")
-    if args.noise_std is not None and not 0 <= args.noise_std < math.pi:
-        raise ConfigError(f"--noise-std must be >= 0 and < pi, got {args.noise_std:g}")
+    motiondata.check_frame_rate(args.fps, "--fps")
+    if args.noise_std is not None:
+        motiondata.check_noise_std(args.noise_std, "--noise-std")
     if args.skeleton == "default":
         skeleton = motiondata.default_skeleton()
     else:
@@ -157,8 +167,9 @@ def cmd_train(args) -> int:
     seq = motiondata.load_motion(args.data)
     cfg, tcfg = _build_configs(args, seq.skeleton.n_joints)
     _check_joints(cfg, f"--config {args.config}", seq, f"--data {args.data}")
-    horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms, seq.frame_rate,
-                                      per_second=1000.0)
+    with file_errors("config file", args.config) if args.config else contextlib.nullcontext():
+        horizon = evalmetrics.span_frames("val_horizon_ms", tcfg.val_horizon_ms,
+                                          seq.frame_rate, per_second=1000.0)
     n_val = tcfg.n_val_windows  # windows of window + horizon frames, rolled out at once
     _check_budget(f"batch_size {tcfg.batch_size} with n_val_windows {n_val}",
                   model.budget_bytes(cfg, tcfg.batch_size, 0)
@@ -166,13 +177,13 @@ def cmd_train(args) -> int:
 
     # deterministic train/validation split along time
     split = int(seq.n_frames * 0.9)
+    for part, frames, length in (("training", split, cfg.window + 1),
+                                 ("validation", seq.n_frames - split, cfg.window + horizon)):
+        if frames < length:
+            raise ConfigError(f"--data {args.data}: its {part} split has {frames} "
+                              f"frames, fewer than one window of {length}")
     train_seqs = [motiondata.MotionSequence(seq.skeleton, seq.rotations[:split], seq.frame_rate)]
     val_seqs = [motiondata.MotionSequence(seq.skeleton, seq.rotations[split:], seq.frame_rate)]
-    for part, seqs, length in (("training", train_seqs, cfg.window + 1),
-                               ("validation", val_seqs, cfg.window + horizon)):
-        if seqs[0].n_frames < length:
-            raise ConfigError(f"--data {args.data}: its {part} split has {seqs[0].n_frames} "
-                              f"frames, fewer than one window of {length}")
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = functools.partial(os.path.join, args.out_dir)
@@ -197,9 +208,9 @@ def cmd_eval(args) -> int:
         horizons = [float(h) for h in args.horizons.split(",")]
     except ValueError:
         raise ConfigError(f"--horizons must be comma-separated milliseconds, "
-                          f"got {args.horizons!r}") from None
+                          f"got {brief(args.horizons)}") from None
     if len(set(horizons)) < len(horizons):  # the report holds one row per horizon
-        raise ConfigError(f"--horizons {args.horizons} repeats a horizon")
+        raise ConfigError(f"--horizons {brief(args.horizons)} repeats a horizon")
     seq = motiondata.load_motion(args.data)
     cfg, params = model.load_checkpoint(args.checkpoint)
     _check_joints(cfg, f"--checkpoint {args.checkpoint}", seq, f"--data {args.data}")
@@ -270,14 +281,14 @@ def _minor_faults():
 
 
 def cmd_bench(args) -> int:
-    triples = []
+    triples, count = [], _at_least(1)
     for part in args.grid.split(";"):
         try:
-            vals = tuple(int(v) for v in part.split(","))
-        except ValueError:
-            vals = ()
-        if len(vals) != 3 or min(vals) < 1:
-            raise ConfigError(f"--grid entry {part!r} must be three integers L,W,B >= 1")
+            vals = tuple(count(v) for v in part.split(","))
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(f"--grid entry {brief(part)}: {err}") from None
+        if len(vals) != 3:
+            raise ConfigError(f"--grid entry {brief(part)} must be three integers L,W,B >= 1")
         triples.append(vals)
     try:  # ModelConfig owns the width rules; its message names its keys, not the flags
         base = model.ModelConfig(n_joints=args.n_joints, embed_dim=args.embed_dim,
@@ -335,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--skeleton", default="default",
                    help="'default' or path to a skeleton JSON file")
     s.add_argument("--frames", type=_at_least(1), required=True)
-    s.add_argument("--fps", type=float, default=60.0)
+    s.add_argument("--fps", type=_real, default=60.0)
     s.add_argument("--spec", help="per-joint sinusoid spec JSON")
-    s.add_argument("--noise-std", type=float, dest="noise_std",
+    s.add_argument("--noise-std", type=_real, dest="noise_std",
                    help="angle noise std; overrides the spec file's noise_std (default 0)")
     s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--out", required=True)
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rollout", help="autoregressive prediction from a seed file")
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--seed-file", required=True, dest="seed_file")
-    r.add_argument("--seconds", type=float, required=True)
+    r.add_argument("--seconds", type=_real, required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--dump-attention", dest="dump_attention",
                    help="optional per-step attention CSV path")
@@ -400,7 +411,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

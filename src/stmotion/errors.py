@@ -1,5 +1,9 @@
 """Shared exception types, the key and number rules of outside input, the
-config field check and the one converter of malformed-file errors."""
+config field check and the one converter of malformed-file errors.
+
+A ConfigError is the one usage error: only the owner of a rule for a value
+read from outside (a flag, a config key, a file) raises it, and `cli.main`
+ends it in exit 2. Any other ValueError is a defect or a misuse of the API."""
 
 import contextlib
 import dataclasses
@@ -8,7 +12,7 @@ import numbers
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent configuration / usage."""
+    """A value read from outside (a flag, a config key or a file) breaks its rule."""
 
 
 class NumericError(RuntimeError):
@@ -61,9 +65,12 @@ def check_fields(config, counts=()) -> None:
 
 @contextlib.contextmanager
 def file_errors(kind: str, path):
-    """Turn what a malformed file makes its parser raise into a one-line
-    ConfigError naming the file."""
+    """Turn what a malformed file makes its reader raise into a one-line
+    ConfigError naming the file: the ValueError of a rule the file breaks (a
+    ConfigError, or json's bad UTF-8 or over-long integer) or the
+    RecursionError of nesting too deep. Any other error is a defect and
+    passes through."""
     try:
         yield
-    except (TypeError, ValueError, LookupError, OverflowError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:
         raise ConfigError(f"{kind} {path}: {err}") from None

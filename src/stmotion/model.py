@@ -122,7 +122,7 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     PE[t, 2k+1] = cos(t / 10000^(2k/D)). Built once per (T, D, dtype) and
     returned read-only."""
     if dim % 2 != 0:
-        raise ConfigError("positional encoding dimension must be even")
+        raise ValueError("positional encoding dimension must be even")
     t = np.arange(length, dtype=np.float64)[:, None]
     k2 = np.arange(0, dim, 2, dtype=np.float64)
     inv = 1.0 / np.power(10000.0, k2 / dim)
@@ -343,8 +343,9 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
     over all T frames and everything else on its last few frames only
     (see `_last_block_frames`); the result equals the full pass's bit for
     bit, and ForwardStats counts what was computed. The other variants run
-    the full pass. Raises ConfigError with an rng (the sliced tensors carry
-    no gradient) or with maps (the trimmed block has no full maps).
+    the full pass. Raises ValueError with an rng (the sliced tensors carry
+    no gradient) or with maps (the trimmed block has no full maps), as for a
+    window whose joints or length the config does not take.
     """
     x = np.asarray(window)
     squeeze = x.ndim == 3
@@ -352,14 +353,14 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         x = x[None]
     b, t, n, m = x.shape
     if n != cfg.n_joints or m != JOINT_DIM:
-        raise ConfigError(f"window joints/dims {(n, m)} do not match config "
-                          f"{(cfg.n_joints, JOINT_DIM)}")
+        raise ValueError(f"window joints/dims {(n, m)} do not match config "
+                         f"{(cfg.n_joints, JOINT_DIM)}")
     if t > cfg.window:
-        raise ConfigError(f"window length {t} exceeds configured maximum {cfg.window}")
+        raise ValueError(f"window length {t} exceeds configured maximum {cfg.window}")
     if rng is not None and last_only:
-        raise ConfigError("last_only is an inference pass; it cannot train")
+        raise ValueError("last_only is an inference pass; it cannot train")
     if maps and last_only:
-        raise ConfigError("last_only computes no attention maps")
+        raise ValueError("last_only computes no attention maps")
 
     dtype = params["embed.w"].data.dtype
     x = x.astype(dtype, copy=False)
@@ -429,7 +430,8 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
         pred = Tensor(pred.data[:, -1:])
     if squeeze:
         pred = tz.reshape(pred, pred.data.shape[1:])
-    return pred, out_maps, _forward_stats(cfg, b, t, tq)
+    scores, last_scores, workspace = _forward_cost(cfg, b, t, tq)
+    return pred, out_maps, ForwardStats([scores] * (cfg.n_layers - 1) + [last_scores], workspace)
 
 
 def rollout(params: dict[str, Tensor], cfg: ModelConfig, seed: np.ndarray, steps: int,
@@ -512,10 +514,12 @@ def write_attention_csv(path):
         yield _AttentionCSV(fh)
 
 
-def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
-    """ForwardStats of a forward pass over B windows of T frames whose last
+def _forward_cost(cfg: ModelConfig, b: int, t: int, tq: int) -> tuple[int, int, int]:
+    """The one account of a forward pass over B windows of T frames whose last
     block computes the query rows of its last `tq` frames (all T but in st's
-    trimmed pass)."""
+    trimmed pass), as ForwardStats counts it: the scores of each block but
+    the last, those of the last block, and the workspace elements of the
+    whole pass. Its cost does not grow with the number of layers."""
     n, d = cfg.n_joints, cfg.embed_dim
     per_frame = 1 if cfg.variant == "vanilla_1d" else n  # tokens per frame
     tokens = b * t * per_frame
@@ -534,17 +538,15 @@ def _forward_stats(cfg: ModelConfig, b: int, t: int, tq: int) -> ForwardStats:
                 + ff_nets * q_tokens * (cfg.ff_size + d))  # feed-forward hidden and output
         return scores, work
 
-    layers = [layer(t)] * cfg.n_layers
-    if layers:
-        layers[-1] = layer(tq)
-    return ForwardStats([s for s, _ in layers], tokens * d + sum(w for _, w in layers))
+    (scores, work), (last_scores, last_work) = layer(t), layer(tq)
+    return scores, last_scores, tokens * d + (cfg.n_layers - 1) * work + last_work
 
 
 def budget_bytes(cfg: ModelConfig, batch: int, frames: int) -> int:
     """Memory account of every command: `batch` float32 poses of `frames` frames
     (a rollout's seeds and predictions, or 0) beside one forward's workspace
     over `batch` windows of the configured length, as in ForwardStats."""
-    workspace = _forward_stats(cfg, batch, cfg.window, cfg.window).workspace_elements
+    _, _, workspace = _forward_cost(cfg, batch, cfg.window, cfg.window)
     return 4 * (batch * frames * cfg.n_joints * JOINT_DIM + workspace)
 
 

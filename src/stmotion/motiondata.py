@@ -39,7 +39,7 @@ class Skeleton:
     def __post_init__(self):
         for name, kind in (("parent", numbers.Integral), ("offset", numbers.Real),
                            ("mirror_pair", numbers.Integral)):
-            for v in np.asarray(getattr(self, name), dtype=object).flat:
+            for v in np.asarray(getattr(self, name), dtype=object).ravel():
                 check_number(name, v, kind)
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.offset = np.asarray(self.offset, dtype=np.float64)
@@ -58,8 +58,9 @@ class Skeleton:
         for i, p in enumerate(self.parent):
             if not -1 <= p < i:
                 raise ValueError(f"parent {p} of joint {i} must be -1 or an earlier joint")
-        if not np.array_equal(self.mirror_pair[self.mirror_pair], np.arange(n)):
-            raise ValueError("mirror_pair must be an involution")
+        if not (np.all((0 <= self.mirror_pair) & (self.mirror_pair < n))
+                and np.array_equal(self.mirror_pair[self.mirror_pair], np.arange(n))):
+            raise ValueError("mirror_pair must be an involution of the joint indices")
 
     @property
     def n_joints(self) -> int:
@@ -99,24 +100,33 @@ def default_skeleton() -> Skeleton:
     return Skeleton(names, np.array(parent), np.array(offset), np.array(mirror))
 
 
+def check_frame_rate(rate, name: str = "frame_rate"):
+    """The frame-rate rule of a motion sequence and of `synth --fps`: a finite
+    number (`check_number`) above zero, else ConfigError naming `name`."""
+    check_number(name, rate)
+    if not rate > 0:
+        raise ConfigError(f"{name} {rate!r} is not a positive number")
+
+
 @dataclass
 class MotionSequence:
     """Local joint rotations over time plus the skeleton they animate."""
 
     skeleton: Skeleton
     rotations: np.ndarray  # (T, N, 3, 3) float32
-    frame_rate: float      # frames per second: a real number, positive and finite
+    frame_rate: float      # frames per second, by `check_frame_rate`
 
     def __post_init__(self):
-        check_number("frame_rate", self.frame_rate)
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame_rate {self.frame_rate!r} is not a positive number")
+        check_frame_rate(self.frame_rate)
         self.rotations = np.asarray(self.rotations, dtype=np.float32)
         if self.rotations.ndim != 4 or self.rotations.shape[1] != self.skeleton.n_joints \
                 or self.rotations.shape[2:] != (3, 3):
             raise ValueError(f"bad rotations shape {self.rotations.shape}")
         if self.rotations.shape[0] < 1:
             raise ValueError("sequence must contain at least one frame")
+        if not np.isfinite(self.rotations).all():  # the frame is looked up only on failure
+            frame = np.argmin(np.isfinite(self.rotations).all(axis=(1, 2, 3)))
+            raise ValueError(f"frame {frame} holds a rotation that is not finite")
 
     @property
     def n_frames(self) -> int:
@@ -158,7 +168,7 @@ class JointMotionSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        for v in np.asarray(self.axis, dtype=object).flat:
+        for v in np.asarray(self.axis, dtype=object).ravel():
             check_number("axis", v)
         for name in ("amplitude", "frequency", "phase"):
             check_number(name, getattr(self, name))
@@ -183,10 +193,12 @@ def check_nyquist(spec: list[JointMotionSpec], frame_rate: float, name: str = "f
                               f"{frame_rate:g} fps")
 
 
-def _check_noise_std(noise_std: float):
-    check_number("noise_std", noise_std)
+def check_noise_std(noise_std: float, name: str = "noise_std"):
+    """The noise rule of synthesis, for a spec file's `noise_std` and `synth
+    --noise-std`: a finite number in [0, pi), else ConfigError naming `name`."""
+    check_number(name, noise_std)
     if not 0 <= noise_std < math.pi:
-        raise ValueError(f"noise_std {noise_std!r} must be >= 0 and < pi")
+        raise ConfigError(f"{name} {noise_std!r} must be >= 0 and < pi")
 
 
 def synth_bytes_per_frame(n_joints: int) -> int:
@@ -210,7 +222,7 @@ def synth_motion(
     if duration_frames < 1:
         raise ValueError("duration_frames must be >= 1")
     check_nyquist(spec, frame_rate)
-    _check_noise_std(noise_std)
+    check_noise_std(noise_std)
     if noise_std > 0 and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
 
@@ -309,5 +321,5 @@ def motion_spec_from_json(path, skeleton: Skeleton) -> tuple[list[JointMotionSpe
                                  f"index below {skeleton.n_joints}")
             specs.append(JointMotionSpec(**{**item, "joint": joint}))
         noise_std = d.get("noise_std", 0.0)
-        _check_noise_std(noise_std)
+        check_noise_std(noise_std)
         return specs, noise_std

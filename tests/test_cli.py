@@ -196,16 +196,22 @@ class TestSynth:
         assert err == [f"error: skeleton file {path}: {named}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--noise-std", "-1"), ("--noise-std", "nan"), ("--noise-std", "inf"),
-        ("--noise-std", "4"),
-        ("--fps", "nan"), ("--fps", "inf"), ("--fps", "0"), ("--fps", "-60"),
+    # the rules of the spec file's noise_std and of a motion file's frame_rate
+    # (motiondata.check_noise_std, check_frame_rate), naming the flag
+    @pytest.mark.parametrize("flag, value, named", [
+        pytest.param("--noise-std", "-1", "-1.0 must be >= 0 and < pi", id="--noise-std--1"),
+        pytest.param("--noise-std", "nan", "nan is not a finite number", id="--noise-std-nan"),
+        pytest.param("--noise-std", "inf", "inf is not a finite number", id="--noise-std-inf"),
+        pytest.param("--noise-std", "4", "4.0 must be >= 0 and < pi", id="--noise-std-4"),
+        pytest.param("--fps", "nan", "nan is not a finite number", id="--fps-nan"),
+        pytest.param("--fps", "inf", "inf is not a finite number", id="--fps-inf"),
+        pytest.param("--fps", "0", "0.0 is not a positive number", id="--fps-0"),
+        pytest.param("--fps", "-60", "-60.0 is not a positive number", id="--fps--60"),
     ])
-    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value):
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "m.stm1"
         assert cli.main(["synth", "--frames", "10", flag, value, "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{flag} must be" in err[0] and value in err[0], err
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} {named}"]
         assert not out.exists()
 
     def test_frames_over_the_memory_budget_is_usage_error(self, tmp_path, capsys,
@@ -307,18 +313,18 @@ class TestTrain:
             assert (header["tau_mode"], header["spatial_sharing"]) == (
                 "sum_normalize", "all_separate")
 
-    def test_numeric_failure_keeps_best_and_history(self, workdir, tmp_path, capsys):
-        # the held-out last tenth is NaN: step 1 trains, the validation at
-        # step 2 fails
-        seq = motiondata.load_motion(workdir / "data.stm1")
-        rotations = seq.rotations.copy()
-        rotations[int(seq.n_frames * 0.9):] = np.nan
-        data = tmp_path / "nan_tail.stm1"
-        motiondata.save_motion(data, motiondata.MotionSequence(
-            seq.skeleton, rotations, seq.frame_rate))
+    def test_numeric_failure_keeps_best_and_history(self, workdir, tmp_path, capsys,
+                                                    monkeypatch):
+        # the validation rollout's seeds turn NaN (a motion file cannot hold
+        # one): step 1 trains, the validation at step 2 fails
+        rollout_batch = training.rollout_batch
+
+        def nan_seeds(params, cfg, seeds, steps, maps_out=None):
+            return rollout_batch(params, cfg, np.full_like(seeds, np.nan), steps, maps_out)
+        monkeypatch.setattr(training, "rollout_batch", nan_seeds)
         d = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "tiny.cfg"),
-                         "--out-dir", str(d)]) == 3
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"),
+                         "--config", str(workdir / "tiny.cfg"), "--out-dir", str(d)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "non-finite" in err[0], err
         assert sorted(f.name for f in d.iterdir()) == ["best.stt1", "history.csv"]
@@ -826,6 +832,12 @@ class TestBench:
         statuses = [line.split(",")[4] for line in lines[1:]]
         assert "OOM" in statuses
 
+    def test_int64_layers_are_an_oom_row(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--variant", "st", "--grid", "9223372036854775807,1,1",
+                         "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "st,9223372036854775807,1,1,OOM,,,,"
+
     def test_bad_grid(self, tmp_path):
         assert cli.main(["bench", "--variant", "st", "--grid", "1,2",
                          "--out", str(tmp_path / "b.csv")]) == 2
@@ -862,7 +874,8 @@ class TestMemoryBudget:
         ("eval", "", ["--n-windows", "100000000000"], "--n-windows 100000000000"),
         ("train", "n_val_windows = 1000000000", [], "n_val_windows 1000000000"),
         ("train", "", ["--batch-size", "1000000000"], "batch_size 1000000000"),
-    ], ids=["eval_n_windows", "train_n_val_windows", "train_batch_size"])
+        ("train", "n_layers = 9223372036854775807", [], "batch_size 2 with n_val_windows 2"),
+    ], ids=["eval_n_windows", "train_n_val_windows", "train_batch_size", "train_int64_layers"])
     def test_refused_before_windows_are_sampled(self, workdir, tmp_path, capsys, monkeypatch,
                                                 command, line, flags, named):
         def sample(*args, **kwargs):
@@ -1088,7 +1101,7 @@ def config_values(draw):
         variant=draw(st.sampled_from(model.VARIANTS)), ff_per_branch=draw(st.booleans()),
         batch_size=draw(counts), warmup=draw(counts), max_steps=draw(counts),
         eval_every=draw(counts), patience=draw(counts), reverse_prob=draw(chances),
-        mirror_prob=draw(chances), seed=draw(st.integers(0, 2 ** 63)),
+        mirror_prob=draw(chances), seed=draw(st.integers(0, 2 ** 63 - 1)),
         n_val_windows=draw(counts),
         val_horizon_ms=draw(st.floats(0.0, 1e9, exclude_min=True)))
 
@@ -1100,7 +1113,7 @@ TRAIN_FLAG_KEYS = {"--variant": "variant", "--tau": "tau_mode", "--sharing": "sp
 flag_values = st.fixed_dictionaries({}, optional={
     "--variant": st.sampled_from(model.VARIANTS), "--tau": st.sampled_from(model.TAU_MODES),
     "--sharing": st.sampled_from(model.SHARING_MODES), "--steps": st.integers(1, 10 ** 6),
-    "--seed": st.integers(0, 2 ** 63), "--batch-size": st.integers(1, 10 ** 6),
+    "--seed": st.integers(0, 2 ** 63 - 1), "--batch-size": st.integers(1, 10 ** 6),
     "--warmup": st.integers(1, 10 ** 6)})
 
 
@@ -1290,6 +1303,25 @@ class TestFileFormats:
         # no output, no temporary file: only the directory that was given, still empty
         left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
         assert left == (["adir"] if target == "directory" else [])
+
+    @pytest.mark.parametrize("command", ["train", "eval", "rollout"])
+    def test_non_finite_rotation_names_the_file_and_frame(self, workdir, tmp_path, capsys,
+                                                          command):
+        header, tensors = tensor.load_record(workdir / "data.stm1")
+        rotations = tensors["rotations"][:8 if command == "rollout" else None].copy()
+        rotations[5, 2, 1, 0] = np.nan
+        data, out = tmp_path / "nan.stm1", tmp_path / "out"
+        tensor.save_record(data, header.decode().strip(), {"rotations": rotations})
+        ckpt = str(workdir / "run" / "best.stt1")
+        argv = {"train": ["--data", str(data), "--config", str(workdir / "tiny.cfg"),
+                          "--out-dir", str(out)],
+                "eval": ["--data", str(data), "--checkpoint", ckpt, "--out", str(out)],
+                "rollout": ["--checkpoint", ckpt, "--seed-file", str(data),
+                            "--seconds", "0.05", "--out", str(out)]}[command]
+        assert cli.main([command, *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: motion file {data}: frame 5 holds a rotation that is not finite"]
+        assert not out.exists()
 
     def test_degenerate_rollout_is_a_numeric_failure(self, workdir, tmp_path, capsys):
         cfg, params = model.load_checkpoint(workdir / "run" / "best.stt1")

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import struct
@@ -10,6 +11,14 @@ from stmotion import tensor as tz
 from stmotion.errors import ConfigError, NumericError
 from stmotion.motiondata import JOINT_DIM
 from stmotion.tensor import Tape, Tensor, backward
+
+
+@contextlib.contextmanager
+def misuse(match=None):
+    """A misuse of the API: a ValueError, never the ConfigError of bad outside input."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield
+    assert not isinstance(info.value, ConfigError), info.value
 
 
 def tiny_cfg(**kw):
@@ -84,7 +93,7 @@ class TestPositionalEncoding:
         np.testing.assert_allclose(pe[0, 1::2], 1.0)
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(ConfigError):
+        with misuse():
             mo.positional_encoding(4, 7)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -228,6 +237,14 @@ class TestScoreCounters:
             assert stats.scores_per_layer[:-1] == full_stats.scores_per_layer[:-1]
         else:
             assert 4 * stats.workspace_elements == mo.budget_bytes(cfg, 2, 0)
+
+    @pytest.mark.parametrize("variant", mo.VARIANTS)
+    def test_budget_is_linear_in_the_layers(self, variant):
+        # counted from one block, not a list per layer: an int64 of layers is counted
+        one, two = (mo.budget_bytes(tiny_cfg(variant=variant, n_layers=n), 2, 3) for n in (1, 2))
+        layers = 2 ** 63 - 1
+        assert (mo.budget_bytes(tiny_cfg(variant=variant, n_layers=layers), 2, 3)
+                == one + (layers - 1) * (two - one))
 
     def test_decoupled_cheaper_than_full_2d(self):
         n, t = 9, 32
@@ -536,7 +553,7 @@ class TestRollout:
     def test_seed_too_long_rejected(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(23))
-        with pytest.raises(ConfigError):
+        with misuse():
             mo.rollout(params, cfg, np.zeros((9, 3, 9), np.float32), 1)
 
     @pytest.mark.parametrize("maps", [None, []], ids=["last_only", "with_maps"])
@@ -650,7 +667,7 @@ class TestLastOnly:
     def test_training_is_rejected(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(63))
-        with pytest.raises(ConfigError, match="last_only"):
+        with misuse(match="last_only"):
             mo.forward(params, cfg, rand_window(cfg), rng=np.random.default_rng(0),
                        last_only=True)
 
@@ -693,7 +710,7 @@ class TestMapsOnRequest:
     def test_last_only_with_maps_is_rejected(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(68))
-        with pytest.raises(ConfigError, match="last_only computes no attention maps"):
+        with misuse(match="last_only computes no attention maps"):
             mo.forward(params, cfg, rand_window(cfg), last_only=True, maps=True)
 
 
@@ -701,13 +718,13 @@ class TestForwardValidation:
     def test_shape_mismatch(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(24))
-        with pytest.raises(ConfigError):
+        with misuse():
             mo.forward(params, cfg, np.zeros((2, 8, 4, 9), np.float32))
 
     def test_window_too_long(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(25))
-        with pytest.raises(ConfigError):
+        with misuse():
             mo.forward(params, cfg, np.zeros((2, 9, 3, 9), np.float32))
 
     def test_nan_input_raises_numeric_error(self):

@@ -275,8 +275,15 @@ class TestFileFormats:
         (lambda h, t: h.update(comment="x"), "header has unknown keys ['comment']"),
         (lambda h, t: h["skeleton"].update(mirror_pair=[0] * 9), "involution"),
         (lambda h, t: t.update(rotations=t["rotations"][:, :2]), "bad rotations shape"),
+        (lambda h, t: h["skeleton"].update(mirror_pair=[0, 1, 2, 5, 6, 3, 4, 8, 9]),
+         "involution"),
+        (lambda h, t: h["skeleton"].update(parent=json.loads("[" * 33 + "0" + "]" * 33)),
+         "parent has shape (1, 1, 1,"),  # numpy iterates over at most 32 axes
+        (lambda h, t: t["rotations"].__setitem__((1, 4, 0, 2), np.nan),
+         "frame 1 holds a rotation that is not finite"),
     ], ids=["no_rate", "no_parent", "no_rotations", "rate_type", "rate_zero", "rate_bool",
-            "skeleton_type", "skeleton_key", "header_key", "mirror", "shape"])
+            "skeleton_type", "skeleton_key", "header_key", "mirror", "shape", "mirror_range",
+            "parent_33_deep", "nan_rotation"])
     def test_bad_header_names_the_file(self, tmp_path, edit, message):
         header = {"frame_rate": 60.0, "skeleton": dataclasses.asdict(md.default_skeleton())}
         tensors = {"rotations": identity_seq(2).rotations}
@@ -294,6 +301,13 @@ class TestFileFormats:
     def test_sequence_frame_rate_is_a_positive_real(self, rate, rule):
         with pytest.raises(ValueError, match=re.escape(f"frame_rate {rate!r} is not {rule} number")):
             md.MotionSequence(md.default_skeleton(), identity_seq(2).rotations, rate)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sequence_refuses_non_finite_rotations(self, value):
+        rots = identity_seq(5).rotations
+        rots[3, 2, 1, 1] = value
+        with pytest.raises(ValueError, match="^frame 3 holds a rotation that is not finite$"):
+            md.MotionSequence(md.default_skeleton(), rots, 60.0)
 
     @pytest.mark.parametrize("rate", [60, 60.0, np.float32(24.0), np.int64(30)])
     def test_sequence_takes_any_real_rate(self, rate):

@@ -1,6 +1,9 @@
 """Every file the CLI reads, with one key set to a value that the key and
 number rules refuse, dropped, or joined by an unknown key, ends in exit 2 and
-one short stderr line that names the file and the key."""
+one short stderr line that names the file and the key; so does a motion file
+too short to train or evaluate on, and every flag set to a value its rule
+refuses. An error that no rule for outside input raises is a defect: it
+leaves `cli.main` as a traceback, never as exit 2."""
 
 import contextlib
 import dataclasses
@@ -11,9 +14,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stmotion import cli, model, motiondata, tensor, training
+from stmotion import cli, evalmetrics, model, motiondata, tensor, training
 
 TINY = model.ModelConfig(embed_dim=8, n_heads=2, n_layers=1, ff_size=8, window=8, dropout=0.0)
 TRAIN = training.TrainConfig(batch_size=2, max_steps=1, eval_every=1, n_val_windows=2, warmup=10)
@@ -28,6 +31,8 @@ _ATOMS = st.one_of(_BIG, _BIG.map(lambda v: -v - 1),
                    st.text("xyz \u00e9'\"\\", max_size=40), st.none())  # never a name or numeral
 _VALUES = st.one_of(_ATOMS, st.lists(_ATOMS, min_size=1, max_size=2),
                     st.dictionaries(st.text("xyz", max_size=3), _ATOMS, max_size=2))
+# spans at the data's 60 fps that round to no frame, or to more than an int64 holds
+_SPANS_MS = st.floats(max_value=8.3) | st.floats(min_value=1e21)
 
 
 def _config_text(cfg: dict) -> str:
@@ -106,8 +111,10 @@ def _changes(draw):
     path, required = draw(st.sampled_from(sorted(paths.items())))
     how = draw(st.sampled_from(["set", "drop", "add"] if required else ["set", "add"]))
     valid_bool = isinstance(CONFIG.get(path[-1]), bool) and kind in ("config", "checkpoint")
-    value = draw(_VALUES.filter(lambda v: not (valid_bool and isinstance(v, bool)))
-                 if how == "set" else st.none())
+    values = _VALUES.filter(lambda v: not (valid_bool and isinstance(v, bool)))
+    if (kind, path) == ("config", ("val_horizon_ms",)):
+        values |= _SPANS_MS
+    value = draw(values if how == "set" else st.none())
     unknown = draw(st.text("xyz", min_size=1, max_size=3).map("zz_{}".format)
                    if how == "add" else st.none())
     return kind, path, how, value, unknown
@@ -136,6 +143,8 @@ def test_the_unchanged_files_are_read(files):
 
 @settings(max_examples=250, deadline=None)
 @given(change=_changes())
+@example(change=("config", ("val_horizon_ms",), "set", 5.0, None))
+@example(change=("config", ("val_horizon_ms",), "set", 1e300, None))
 def test_a_refused_key_ends_in_one_line_naming_the_file_and_the_key(files, change):
     kind, path, how, value, unknown = change
     content, _, _, argv = FILES[kind]
@@ -144,3 +153,105 @@ def test_a_refused_key_ends_in_one_line_naming_the_file_and_the_key(files, chang
     assert (code, out, len(err.splitlines())) == (2, "", 1), (code, out, err)
     named = re.escape(repr(unknown)) if how == "add" else rf"\b{path[-1]}\b"
     assert len(err) <= 301 and p in err and re.search(named, err), err
+
+
+# train needs a training split of 9 frames and a validation split of 8 + 24
+# (TINY's window, then 400 ms at 60 fps); eval 8 seed frames and 24 more
+@settings(max_examples=40, deadline=None)
+@given(case=st.tuples(st.just("train"), st.integers(1, 310))
+       | st.tuples(st.just("eval"), st.integers(1, 31)))
+@example(case=("train", 1))
+def test_a_motion_file_shorter_than_one_window_names_it(files, case):
+    command, frames = case
+    _, tensors = tensor.load_record(files / "data.stm1")
+    short = files / "short.stm1"
+    tensor.save_record(short, json.dumps({"frame_rate": 60.0, "skeleton": SKELETON}),
+                       {"rotations": tensors["rotations"][:frames]})
+    argv = (["train", "--config", str(files / "good.cfg"), "--out-dir", str(files / "run")]
+            if command == "train" else
+            ["eval", "--checkpoint", str(files / "good.stt1"), "--out", str(files / "e.csv")])
+    code, out, err = _run(argv + ["--data", str(short)])
+    assert (code, out, len(err.splitlines())) == (2, "", 1), (code, out, err)
+    assert f"--data {short}:" in err and "fewer than one window" in err, err
+
+
+# --- flags: each drawn value is one that the flag's rule refuses -------------
+
+_TEXT = st.text("xyz \u00e9'\"\\", max_size=400)  # never a numeral
+_NO_REAL = _TEXT | st.sampled_from(["nan", "inf", "-inf", "1" + "0" * 400])  # 1e400 is inf
+
+
+def _reals(refused):
+    return _NO_REAL | refused.map(repr)
+
+
+@st.composite
+def _grids(draw):
+    """`bench --grid` text with at least one entry that is not three integers >= 1."""
+    element = (st.sampled_from(["1", "4", "1.5", "1e3", "2,"]) | _TEXT
+               | (st.integers(max_value=0) | st.integers(2 ** 63, 10 ** 400)).map(str))
+    bad = st.lists(element, min_size=1, max_size=4).map(",".join).filter(
+        lambda e: not (len(e.split(",")) == 3
+                       and all(v.isdigit() and 1 <= int(v) < 2 ** 63 for v in e.split(","))))
+    entries = draw(st.lists(st.sampled_from(["1,8,1", "2,4,2"]), max_size=2)) + [draw(bad)]
+    return ";".join(draw(st.permutations(entries)))
+
+
+@st.composite
+def _horizons(draw):
+    """`eval --horizons` text with one horizon that is no number, rounds to no
+    frame or to more than the 400-frame data holds, or repeats another."""
+    ms = draw(st.lists(st.floats(17.0, 6000.0).map(repr), max_size=2))
+    refused = _reals(st.floats(max_value=8.3) | st.floats(min_value=6600.0))
+    ms.append(draw(refused | st.sampled_from(ms) if ms else refused))
+    return ",".join(draw(st.permutations(ms)))
+
+
+# per flag: the strategy of its refused values and the command it is given to
+FLAGS = {
+    "--grid": (_grids(), lambda d: ["bench", "--variant", "st", "--repeats", "1"]),
+    "--horizons": (_horizons(), lambda d: ["eval", "--data", str(d / "data.stm1"),
+                                           "--checkpoint", str(d / "good.stt1")]),
+    # below half a frame at 60 fps, beyond an int64 of frames, or over the budget
+    "--seconds": (_reals(st.floats(max_value=0.0083) | st.floats(min_value=2e5)),
+                  lambda d: ["rollout", "--checkpoint", str(d / "good.stt1"),
+                             "--seed-file", str(d / "seed.stm1")]),
+    # not above twice the default spec's highest frequency, 1 Hz
+    "--fps": (_reals(st.floats(max_value=2.0)), lambda d: ["synth", "--frames", "10"]),
+    "--noise-std": (_reals(st.floats(max_value=-1e-300) | st.floats(min_value=math.pi)),
+                    lambda d: ["synth", "--frames", "10"]),
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), FLAGS[flag][0])))
+@example(case=("--grid", "1," + "9" * 30 + ",1"))
+@example(case=("--grid", "9223372036854775808,1,1"))
+def test_a_refused_flag_value_ends_in_one_line_naming_the_flag(files, case):
+    flag, value = case
+    out_file = files / "flag_out"
+    code, out, err = _run(FLAGS[flag][1](files) + [f"{flag}={value}", "--out", str(out_file)])
+    assert (code, out, len(err.splitlines())) == (2, "", 1), (code, out, err)
+    assert len(err) <= 301 and flag in err, err
+    assert not out_file.exists()
+
+
+# --- a defect is never a usage error -----------------------------------------
+
+def test_an_internal_value_error_in_eval_is_a_traceback(files, monkeypatch):
+    def full_report(*args):
+        raise ValueError("an internal check failed")
+    monkeypatch.setattr(evalmetrics, "full_report", full_report)
+    with pytest.raises(ValueError, match="an internal check failed"):
+        cli.main(["eval", "--data", str(files / "data.stm1"), "--checkpoint",
+                  str(files / "good.stt1"), "--n-windows", "2", "--out", str(files / "e.csv")])
+
+
+def test_a_type_error_while_reading_a_motion_file_is_a_traceback(files, monkeypatch):
+    def motion_sequence(*args):  # called inside load_motion's file_errors block
+        raise TypeError("a reader bug")
+    monkeypatch.setattr(motiondata, "MotionSequence", motion_sequence)
+    with pytest.raises(TypeError, match="a reader bug"):
+        cli.main(["train", "--data", str(files / "data.stm1"), "--config",
+                  str(files / "good.cfg"), "--out-dir", str(files / "run")])
