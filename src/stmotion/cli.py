@@ -44,15 +44,23 @@ def _check_budget(what: str, nbytes: int, budget_mib: int = DEFAULT_MEMORY_BUDGE
                           f"{budget_mib} MiB budget")
 
 
+def _numeral(text: str, casts=(int, float)):
+    """The one reader of a number typed as text (a flag, a `--grid` or
+    `--horizons` entry, a config value): an ASCII numeral without `_` as the
+    first of `casts` that reads it, else None."""
+    if text.isascii() and "_" not in text:  # int() and float() take `_` and other digits
+        for cast in casts:
+            with contextlib.suppress(ValueError):
+                return cast(text)
+    return None
+
+
 def _at_least(low: int):
     """The argparse type of every integer flag: an integer >= low that an int64 holds."""
     want = "a non-negative integer" if low == 0 else f"an integer >= {low}"
 
     def flag(value: str) -> int:
-        try:
-            n = int(value)
-        except ValueError:
-            n = None
+        n = _numeral(value, (int,))
         if n is None or n < low:
             raise argparse.ArgumentTypeError(f"must be {want}, got {brief(value)}")
         try:
@@ -65,12 +73,13 @@ def _at_least(low: int):
 
 
 def _real(value: str) -> float:
-    """The argparse type of every float flag: `float` of the text (the flag's
-    rule is its owner's), showing at most `brief` of text that is no number."""
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {brief(value)}") from None
+    """The argparse type of every float flag and the reader of each `--horizons`
+    entry: the numeral as a float (the flag's rule is its owner's), showing at
+    most `brief` of text that is no numeral."""
+    x = _numeral(value, (float,))
+    if x is None:
+        raise argparse.ArgumentTypeError(f"must be a number, got {brief(value)}")
+    return x
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +88,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def _check_value(self, action, value):  # argparse's own message shows the whole value
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {brief(value)} (choose "
+                                                 f"from {', '.join(map(repr, action.choices))})")
 
 
 def _check_joints(cfg, source: str, seq, data: str):
@@ -109,14 +123,12 @@ def _parse_config_file(path) -> dict:
 
 
 def _coerce(value: str):
+    """A config value: `true` or `false` a bool, a numeral an int or float, else the text."""
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    if value.isascii() and "_" not in value:  # int() and float() take `_` and other digits
-        for cast in (int, float):
-            with contextlib.suppress(ValueError):
-                return cast(value)
-    return value
+    n = _numeral(value)
+    return value if n is None else n
 
 
 def _build_configs(args, n_joints: int):
@@ -205,8 +217,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        horizons = [float(h) for h in args.horizons.split(",")]
-    except ValueError:
+        horizons = [_real(h) for h in args.horizons.split(",")]
+    except argparse.ArgumentTypeError:
         raise ConfigError(f"--horizons must be comma-separated milliseconds, "
                           f"got {brief(args.horizons)}") from None
     if len(set(horizons)) < len(horizons):  # the report holds one row per horizon

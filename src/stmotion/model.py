@@ -565,6 +565,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     header, arrays = tz.load_record(path)
     with file_errors("checkpoint", path):  # UTF-8, JSON, fields, tensor names
         cfg = ModelConfig.from_json(header)
+        if cfg.n_layers > len(arrays):  # a layer has tensors of its own; bounds the work below
+            raise ConfigError(f"n_layers {cfg.n_layers} needs more than the {len(arrays)} "
+                              f"tensors its tensor set holds")
         want = _param_shapes(cfg)
         check_keys("tensor set", arrays, want, want)
     for name, shape in want.items():

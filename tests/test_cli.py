@@ -963,6 +963,10 @@ class TestMemoryBudget:
             f"needs {-(-need // 2 ** 20)} MiB, over the 2048 MiB budget"), err
 
 
+# ten as int() and float() also read it: with a separator, full-width, Arabic-Indic
+SEPARATED_OR_NOT_ASCII = ["1_0", "\uff11\uff10", "\u0661\u0660"]
+
+
 class TestParsing:
     def test_unknown_subcommand(self):
         assert cli.main(["dance"]) == 2
@@ -1008,7 +1012,7 @@ class TestParsing:
         (command, flag, value)
         for command, flags in INTEGER_FLAGS.items()
         for flag, low in flags.items()
-        for value in (["0", "-1", "x"] if low == 1 else ["-1", "x"])])
+        for value in (["0", "-1", "x"] if low == 1 else ["-1", "x"]) + SEPARATED_OR_NOT_ASCII])
     def test_bad_integer_flag_is_one_usage_line(self, workdir, tmp_path, capsys, monkeypatch,
                                                 command, flag, value):
         argv = self._argv_reading_no_file(workdir, tmp_path / "out", command, monkeypatch)
@@ -1029,13 +1033,13 @@ class TestParsing:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_integer_flag_takes_the_one_rule(self):
-        # no bare int, and the flags typed by the rule are the matrix above
+        # no bare int or float, and the flags typed by the rule are the matrix above
         (sub,) = [a for a in cli.build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         found = set()
         for command, parser in sub.choices.items():
             for action in parser._actions:
-                assert action.type is not int, (command, action.option_strings)
+                assert action.type not in (int, float), (command, action.option_strings)
                 if getattr(action.type, "__qualname__", "").startswith("_at_least."):
                     flag = action.option_strings[0]
                     low = self.INTEGER_FLAGS.get(command, {}).get(flag)
@@ -1054,13 +1058,24 @@ class TestParsing:
         (["synth", "--out", "m", "--frames"], "argument --frames: expected one argument"),
         (["train", "--data", "d", "--out-dir", "o", "--tau", "sum"],
          "argument --tau: invalid choice: 'sum'"),
+        (["x" * 400], "invalid choice: 'xxxxxxxxxxxxxxxxxxxx... (choose from 'synth', "),
+        (["train", "--data", "d", "--out-dir", "o", "--variant", "x" * 400],
+         "--variant: invalid choice: 'xxxxxxxxxxxxxxxxxxxx... (choose from 'st', "),
+        (["train", "--data", "d", "--out-dir", "o", "--tau", "x" * 400],
+         "--tau: invalid choice: 'xxxxxxxxxxxxxxxxxxxx... (choose from 'softmax', "),
+        (["train", "--data", "d", "--out-dir", "o", "--sharing", "x" * 400],
+         "--sharing: invalid choice: 'xxxxxxxxxxxxxxxxxxxx... (choose from 'query_separate', "),
+        (["bench", "--variant", "x" * 400, "--out", "b"],
+         "--variant: invalid choice: 'xxxxxxxxxxxxxxxxxxxx... (choose from 'st', 'full_2d')"),
     ], ids=["no_command", "unknown_command", "missing_flag", "missing_flags",
-            "bad_choice", "unknown_flag", "missing_value", "tau_mode_spelled_short"])
+            "bad_choice", "unknown_flag", "missing_value", "tau_mode_spelled_short",
+            "long_command", "long_variant", "long_tau", "long_sharing", "long_bench_variant"])
     def test_parser_errors_are_one_line(self, capsys, argv, named):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert len(err[0]) <= 150, err  # a refused value shows at most `errors.brief` of it
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
@@ -1134,6 +1149,30 @@ class TestConfigRoundTrip:
         assert cli._build_configs(args, n_joints=1) == (
             model.ModelConfig(**{k: want[k] for k in mfields}),
             training.TrainConfig(**{k: want[k] for k in tfields}))
+
+    @pytest.mark.parametrize("flag", sorted(TRAIN_FLAG_KEYS))
+    def test_each_train_flag_and_its_config_key_take_the_same_texts(self, tmp_path, flag):
+        # the value each spelling builds, or None where it is refused
+        key = TRAIN_FLAG_KEYS[flag]
+        texts = ["0", "1", "7", "-1", "1.0", "1e3", "x", "true", "9" * 30,
+                 *SEPARATED_OR_NOT_ASCII, *model.VARIANTS, *model.TAU_MODES,
+                 *model.SHARING_MODES, "ST", "x" * 400]
+        path, accepted = tmp_path / "one.cfg", []
+        for text in texts:
+            path.write_text(f"{key} = {text}\n", encoding="utf-8")
+            built = []
+            for argv in ([flag, text], ["--config", str(path)]):
+                try:
+                    args = cli.build_parser().parse_args(
+                        ["train", "--data", "d", "--out-dir", "o", *argv])
+                    built.append(next(getattr(c, key) for c in cli._build_configs(args, 9)
+                                      if hasattr(c, key)))
+                except ConfigError:
+                    built.append(None)
+            assert built[0] == built[1] and type(built[0]) is type(built[1]), (text, built)
+            if built[0] is not None:
+                accepted.append(text)
+        assert accepted  # each flag takes some of the texts
 
 
 class TestSpecHandCases:

@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -797,6 +798,25 @@ class TestCheckpoint:
         tz.save_record(p, cfg.to_json(), arrays)
         with pytest.raises(ConfigError, match=re.escape(message)):
             mo.load_checkpoint(p)
+
+    @pytest.mark.parametrize("layers", [100000, 2 ** 63 - 1])
+    def test_a_layer_count_beyond_the_tensor_set_is_refused_before_any_layer(self, tmp_path,
+                                                                            layers):
+        # the header's layer count is checked against the file before it shapes any layer
+        cfg = tiny_cfg(n_layers=1)
+        arrays = {k: v.data for k, v in mo.init_params(cfg, np.random.default_rng(36)).items()}
+        p = tmp_path / "model.stt1"
+        tz.save_record(p, json.dumps({**json.loads(cfg.to_json()), "n_layers": layers}), arrays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                mo.load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"checkpoint {p}: n_layers {layers} needs more than the "
+                                   f"{len(arrays)} tensors its tensor set holds")
+        assert peak < 10 * 2 ** 20, peak
 
     def test_every_truncation_is_a_config_error_naming_the_file(self, tmp_path):
         cfg = tiny_cfg(n_layers=1)

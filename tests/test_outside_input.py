@@ -178,7 +178,10 @@ def test_a_motion_file_shorter_than_one_window_names_it(files, case):
 # --- flags: each drawn value is one that the flag's rule refuses -------------
 
 _TEXT = st.text("xyz \u00e9'\"\\", max_size=400)  # never a numeral
-_NO_REAL = _TEXT | st.sampled_from(["nan", "inf", "-inf", "1" + "0" * 400])  # 1e400 is inf
+# ten as int() and float() also read it, but no ASCII numeral without `_`
+_NOT_A_NUMERAL = ["1_0", "\uff11\uff10", "\u0661\u0660"]
+_NO_REAL = _TEXT | st.sampled_from(["nan", "inf", "-inf", "1" + "0" * 400,  # 1e400 is inf
+                                    *_NOT_A_NUMERAL])
 
 
 def _reals(refused):
@@ -188,11 +191,11 @@ def _reals(refused):
 @st.composite
 def _grids(draw):
     """`bench --grid` text with at least one entry that is not three integers >= 1."""
-    element = (st.sampled_from(["1", "4", "1.5", "1e3", "2,"]) | _TEXT
+    element = (st.sampled_from(["1", "4", "1.5", "1e3", "2,", *_NOT_A_NUMERAL]) | _TEXT
                | (st.integers(max_value=0) | st.integers(2 ** 63, 10 ** 400)).map(str))
     bad = st.lists(element, min_size=1, max_size=4).map(",".join).filter(
-        lambda e: not (len(e.split(",")) == 3
-                       and all(v.isdigit() and 1 <= int(v) < 2 ** 63 for v in e.split(","))))
+        lambda e: not (len(e.split(",")) == 3 and all(
+            re.fullmatch("[0-9]+", v) and 1 <= int(v) < 2 ** 63 for v in e.split(","))))
     entries = draw(st.lists(st.sampled_from(["1,8,1", "2,4,2"]), max_size=2)) + [draw(bad)]
     return ";".join(draw(st.permutations(entries)))
 

@@ -7,6 +7,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -66,3 +67,11 @@ def test_every_train_flag_sets_its_config_key():
     fields = {f.name for cls in (model.ModelConfig, training.TrainConfig)
               for f in dataclasses.fields(cls)}
     assert dests - fields == {"data", "config", "out_dir", "memory_budget"}
+
+
+def test_the_package_root_binds_no_public_function_or_class():
+    # each name lives in its module; `forward` stays bound because stbench's
+    # tracer test wraps it at every alias, the root included
+    bound = {name for name, obj in vars(stmotion).items()
+             if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))}
+    assert bound == {"forward"}
