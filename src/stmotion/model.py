@@ -67,7 +67,7 @@ class ModelConfig:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {brief(getattr(self, name))}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
+            raise ConfigError(f"dropout {self.dropout!r} must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -322,6 +322,7 @@ def _last_block_frames(t: int) -> int:
     return t - max(0, (t - 2) // 4 * 4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are NumericErrors below
 def forward(params: dict[str, Tensor], cfg: ModelConfig, window: np.ndarray,
             rng: np.random.Generator | None = None, last_only: bool = False,
             maps: bool = False):

@@ -202,11 +202,11 @@ def check_noise_std(noise_std: float, name: str = "noise_std"):
 
 
 def synth_bytes_per_frame(n_joints: int) -> int:
-    """Peak bytes `synth_motion` holds per frame of a skeleton of n_joints:
-    four float64 (T, N, 3, 3) arrays, the rotations and, in project_to_so3's
-    validity test, their gram matrices, gram - I and its abs. Rodrigues'
-    matrices pass that test, so its SVD branch does not run."""
-    return 4 * n_joints * JOINT_DIM * np.dtype(np.float64).itemsize
+    """Peak bytes `synth_motion` holds per frame of n_joints: the float32
+    (T, N, 3, 3) rotations, `MotionSequence`'s bool finite mask of them, one
+    joint's 24 float64 temporaries (angles, angle-axis, Rodrigues terms and
+    matrix) and 2 more to cover numpy's fixed few KiB from 1000 frames on."""
+    return n_joints * JOINT_DIM * (4 + 1) + 26 * 8
 
 
 def synth_motion(
@@ -217,8 +217,8 @@ def synth_motion(
     noise_std: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> MotionSequence:
-    """Deterministic synthetic motion: per-joint sinusoidal rotation angles
-    with optional Gaussian angle noise, projected back onto SO(3)."""
+    """Deterministic synthetic motion: per-joint sinusoidal angles, with
+    optional Gaussian noise, as Rodrigues rotations, on SO(3) by construction."""
     if duration_frames < 1:
         raise ValueError("duration_frames must be >= 1")
     check_nyquist(spec, frame_rate)
@@ -227,16 +227,15 @@ def synth_motion(
         raise ValueError("noise_std > 0 requires an rng")
 
     t = np.arange(duration_frames, dtype=np.float64)
-    rots = np.broadcast_to(
-        np.eye(3), (duration_frames, skeleton.n_joints, 3, 3)).copy()
+    rots = np.broadcast_to(np.eye(3, dtype=np.float32),
+                           (duration_frames, skeleton.n_joints, 3, 3)).copy()
     for js in spec:
         angle = js.amplitude * np.sin(
             2.0 * np.pi * js.frequency * t / frame_rate + js.phase)
         if noise_std > 0:
             angle = angle + rng.normal(0.0, noise_std, size=angle.shape)
         rots[:, js.joint] = so3.rotmat_from_angleaxis(angle[:, None] * js.axis)
-    rots = so3.project_to_so3(rots.reshape(-1, 3, 3)).reshape(rots.shape)
-    return MotionSequence(skeleton, rots.astype(np.float32), frame_rate)
+    return MotionSequence(skeleton, rots, frame_rate)
 
 
 def two_frequency_spec(skeleton: Skeleton) -> list[JointMotionSpec]:

@@ -48,6 +48,7 @@ class TrainConfig:
             raise ConfigError(f"val_horizon_ms {self.val_horizon_ms!r} must be positive")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `train` raises on a non-finite loss
 def loss_per_joint_l2(pred: Tensor, target: np.ndarray) -> Tensor:
     """Sum over frames and joints of the 9-dim rotation difference norm,
     averaged over the batch (leading) dimension when present."""

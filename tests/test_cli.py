@@ -69,6 +69,17 @@ class TestSynth:
                              "--noise-std", "0.02", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_synthesized_bytes_are_unchanged(self, tmp_path):
+        # every benchmark dataset is synthesized: a fixed command keeps its
+        # digest, recorded when synthesis projected its rotations onto SO(3)
+        # (x86-64 with numpy 2.4; a libm whose sin or cos rounds differently
+        # needs the digest recorded again)
+        out = tmp_path / "m.stm1"
+        assert cli.main(["synth", "--frames", "600", "--noise-std", "0.01", "--seed", "3",
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "7b0f61fcbbcfc48061ddd78201401d7f1871bb4710094231818f3c11e7c74938"
+
     def test_spec_and_skeleton_files(self, tmp_path):
         sk = motiondata.default_skeleton()
         skel = tmp_path / "sk.json"
@@ -370,6 +381,7 @@ class TestTrain:
         ("val_horizon_ms = inf", "val_horizon_ms inf"),
         ("embed_dim = 5\nn_heads = 1", "embed_dim 5 must be even"),
         ("mirror_prob = 1.5", "mirror_prob 1.5 must be a probability"),
+        ("dropout = 1.5", "dropout 1.5 must be in [0, 1)"),
         ("joint_dim = 6", "has unknown keys ['joint_dim']"),
         ("max_grad_norm = 2.0", "has unknown keys ['max_grad_norm']"),
         ("seed = 1_0", "seed '1_0' is not a 64-bit integer"),
@@ -378,6 +390,7 @@ class TestTrain:
     ], ids=["embed_dim_abc", "dropout_high", "embed_dim_float", "n_layers_float",
             "batch_size_float", "seed_x", "eval_every_0", "embed_dim_0", "n_val_windows_0",
             "patience_0", "val_horizon_inf", "embed_dim_odd", "mirror_prob_above_one",
+            "dropout_above_one",
             "joint_dim", "max_grad_norm", "seed_digit_separator", "max_steps_fullwidth_digit",
             "embed_dim_401_digits"])
     def test_bad_config_value_is_usage_error(self, workdir, tmp_path, capsys, line, named):

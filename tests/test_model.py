@@ -736,6 +736,15 @@ class TestForwardValidation:
         with pytest.raises(NumericError):
             mo.forward(params, cfg, x)
 
+    def test_overflowing_pose_projection_raises_numeric_error(self):
+        # the output matmul overflows float32 with no warning; the final check names it
+        cfg = tiny_cfg()
+        params = mo.init_params(cfg, np.random.default_rng(27))
+        w = params["out.w"].data
+        w[...] = np.where(np.random.default_rng(1).random(w.shape) < 0.5, -3e38, 3e38)
+        with pytest.raises(NumericError, match="^non-finite values in final pose projection$"):
+            mo.forward(params, cfg, rand_window(cfg))
+
     def test_unbatched_input_accepted(self):
         cfg = tiny_cfg()
         params = mo.init_params(cfg, np.random.default_rng(28))

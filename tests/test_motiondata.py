@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,30 @@ class TestSynthMotion:
         sk = md.default_skeleton()
         with pytest.raises(ValueError):
             md.synth_motion(sk, 10, 60.0, md.two_frequency_spec(sk), noise_std=0.1)
+
+    @pytest.mark.parametrize("frames", [1000, 36000])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    @pytest.mark.parametrize("n_joints", [1, 9, 22])
+    def test_bytes_per_frame_bound_the_traced_peak(self, tmp_path, n_joints, noise_std,
+                                                   frames):
+        # the account `synth --frames` is checked against: an upper bound, and a tight one
+        sk = md.Skeleton([f"j{i}" for i in range(n_joints)], np.arange(n_joints) - 1,
+                         np.full((n_joints, 3), 10.0), np.arange(n_joints))
+
+        def synth_and_save(t):
+            seq = md.synth_motion(sk, t, 60.0, md.two_frequency_spec(sk), noise_std,
+                                  np.random.default_rng(0))
+            md.save_motion(tmp_path / "m.stm1", seq)
+
+        synth_and_save(2)  # first-call costs (imports, caches) belong to no frame
+        tracemalloc.start()
+        try:
+            synth_and_save(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = frames * md.synth_bytes_per_frame(n_joints)
+        assert peak <= bound <= 1.3 * peak, (peak / frames, bound / frames)
 
     @pytest.mark.parametrize("rate, spec, rule", [(math.inf, True, "a finite"),
                                                   (0.0, False, "a positive")],

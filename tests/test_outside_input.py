@@ -156,11 +156,14 @@ def test_a_refused_key_ends_in_one_line_naming_the_file_and_the_key(files, chang
 
 
 # train needs a training split of 9 frames and a validation split of 8 + 24
-# (TINY's window, then 400 ms at 60 fps); eval 8 seed frames and 24 more
+# (TINY's window, then 400 ms at 60 fps); eval 8 seed frames and 24 more; a
+# file of no frame is no motion sequence
 @settings(max_examples=40, deadline=None)
-@given(case=st.tuples(st.just("train"), st.integers(1, 310))
-       | st.tuples(st.just("eval"), st.integers(1, 31)))
+@given(case=st.tuples(st.just("train"), st.integers(0, 310))
+       | st.tuples(st.just("eval"), st.integers(0, 31)))
 @example(case=("train", 1))
+@example(case=("train", 0))
+@example(case=("eval", 0))
 def test_a_motion_file_shorter_than_one_window_names_it(files, case):
     command, frames = case
     _, tensors = tensor.load_record(files / "data.stm1")
@@ -172,7 +175,9 @@ def test_a_motion_file_shorter_than_one_window_names_it(files, case):
             ["eval", "--checkpoint", str(files / "good.stt1"), "--out", str(files / "e.csv")])
     code, out, err = _run(argv + ["--data", str(short)])
     assert (code, out, len(err.splitlines())) == (2, "", 1), (code, out, err)
-    assert f"--data {short}:" in err and "fewer than one window" in err, err
+    named = ((f"--data {short}:", "fewer than one window") if frames
+             else (f"motion file {short}:", "sequence must contain at least one frame"))
+    assert all(part in err for part in named), err
 
 
 # --- flags: each drawn value is one that the flag's rule refuses -------------

@@ -227,6 +227,15 @@ class TestProperties:
         np.testing.assert_allclose(
             so3.angleaxis_from_rotmat(so3.rotmat_from_angleaxis(a)), a, atol=1e-9)
 
+    @given(st.lists(st.floats(-1e-12, 1e-12) | st.floats(-4 * np.pi, 4 * np.pi),
+                    min_size=3, max_size=3).map(np.array))
+    @example(v=np.zeros(3))
+    @example(v=np.array([5e-13, 0.0, -5e-13]))
+    def test_rodrigues_matrices_are_left_as_they_are_by_projection(self, v):
+        # so synthesis writes them without projecting them
+        r = so3.rotmat_from_angleaxis(v)
+        np.testing.assert_array_equal(so3.project_to_so3(r), r)
+
     @given(angles, st.floats(-np.pi / 2 + 1e-2, np.pi / 2 - 1e-2), angles)
     def test_euler_round_trip_away_from_gimbal_lock(self, a, b, c):
         e = np.array([a, b, c])
