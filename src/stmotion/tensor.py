@@ -1,10 +1,13 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (float32 by default), and every operation takes
-Tensor operands. Operations executed while a Tape is active are recorded and
-can be replayed backwards to populate the ``grad`` buffers of every tensor
-created with ``requires_grad=True``; a recorded op's output needs a gradient
-too. Without an active tape, operations are plain numpy calls.
+Tensors hold the numpy arrays they are given, and every operation takes
+Tensor operands. A tensor's dtype is decided where its data enters (the
+parameters, the input window, the loss target); each op keeps its operands'
+dtype, and `backward` casts every gradient to its tensor's dtype.
+Operations executed while a Tape is active are recorded and can be replayed
+backwards to populate the ``grad`` buffers of every tensor created with
+``requires_grad=True``; a recorded op's output needs a gradient too. Without
+an active tape, operations are plain numpy calls.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-DEFAULT_DTYPE = np.float32
 TAU_MODES = ("softmax", "sum_normalize")  # attention's normalizers tau
 
 __all__ = [
@@ -102,13 +104,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -265,11 +262,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out = Tensor(a.data.transpose(axes))
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _record(out, (a,), bwd)
 
@@ -382,7 +378,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) * istd
-        return dx.astype(x.data.dtype), dgain.astype(gain.data.dtype), dbias.astype(bias.data.dtype)
+        return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
 
@@ -406,10 +402,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> T
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
+    out = Tensor(x.data.sum())
 
     def bwd(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _record(out, (x,), bwd)
 
@@ -422,8 +418,7 @@ def l2norm_lastdim(x: Tensor) -> Tensor:
     def bwd(g):
         safe = np.where(norm > 0, norm, 1.0)
         grad = g[..., None] * x.data / safe[..., None]
-        grad = np.where(norm[..., None] > 0, grad, 0.0)
-        return (grad.astype(x.data.dtype),)
+        return (np.where(norm[..., None] > 0, grad, 0.0),)
 
     return _record(out, (x,), bwd)
 
@@ -459,7 +454,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e
     `f` must map a tensor to a deterministic scalar tensor. Relative error per
     element is |analytic - central| / (|analytic| + |central| + 1e-8).
     """
-    probe = Tensor(x.data.copy(), requires_grad=True, dtype=x.data.dtype)
+    probe = Tensor(x.data.copy(), requires_grad=True)
     with Tape() as tape:
         y = f(probe)
     backward(y, tape)

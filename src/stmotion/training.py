@@ -58,7 +58,7 @@ def loss_per_joint_l2(pred: Tensor, target: np.ndarray) -> Tensor:
     per_joint = tz.l2norm_lastdim(tz.add(pred, Tensor(-t)))
     total = tz.tsum(per_joint)
     if pred.data.ndim == 4:
-        total = tz.mul(total, Tensor(1.0 / pred.data.shape[0], dtype=pred.data.dtype))
+        total = tz.mul(total, Tensor(np.asarray(1.0 / pred.data.shape[0], pred.data.dtype)))
     return total
 
 
@@ -79,7 +79,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
-    return {k: g * np.float32(factor) for k, g in grads.items()}, total
+    return {k: g * factor for k, g in grads.items()}, total
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the standard Adam constants
@@ -107,7 +107,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

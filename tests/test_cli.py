@@ -313,6 +313,34 @@ class TestTrain:
         assert "l0.a.wq" in params
         assert len((d / "history.csv").read_text().strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("variant, best_and_final, history", [
+        ("st", "8451113950347a9e8bc22b6729362c44dd11944bfd3276476edb2062727666a1",
+         "365be8148ad18aaa220ee5645bcc1131fbfb34532adc8b0f40758225ffb92dc0"),
+        ("vanilla_1d", "4992a33484de641ae079e20a6d56738d0e37ba6b121ee2d5c77b3eaa81333bbd",
+         "929e5382ea1181f038463ee6b0169ce5be14beb4924eb797fbfe6cace06f0cce"),
+        ("full_2d", "51c2432fd5a55ac15a43fe1297f77030717c777c095016d1d474621dc905378c",
+         "2adfd7fac4f3e0c680b8db670aed5a04cb5bf5ce759cb4ecf5c4bdc03ffd1959")],
+        ids=["st", "vanilla_1d", "full_2d"])
+    def test_trained_bytes_are_unchanged(self, workdir, tmp_path, variant, best_and_final,
+                                         history):
+        # training's results hang on every gradient bit: a short run with
+        # dropout, reversal and mirroring keeps its digests, recorded when
+        # Tensor cast every array it was given and the ops cast their
+        # gradients (x86-64 with numpy 2.4's bundled OpenBLAS, the same with
+        # one BLAS thread or the default; another BLAS or CPU may sum in
+        # another order and needs the digests recorded again). The best
+        # checkpoint is the last one here, so both have one digest.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_with("n_layers = 2\ndropout = 0.1\nreverse_prob = 0.5\n"
+                                   "mirror_prob = 0.5\nmax_steps = 20\neval_every = 10\n"
+                                   f"variant = {variant}"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(workdir / "data.stm1"), "--config", str(cfg),
+                         "--out-dir", str(out)]) == 0
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("best.stt1", "final.stt1", "history.csv")]
+        assert digests == [best_and_final, best_and_final, history]
+
     def test_tau_and_sharing_flags_reach_the_checkpoint(self, workdir, tmp_path):
         d = tmp_path / "ablation"
         assert cli.main(["train", "--data", str(workdir / "data.stm1"),

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stmotion import evalmetrics as ev
 from stmotion import model as mo
+from stmotion import motiondata as md
 from stmotion import tensor as tz
 from stmotion.errors import ConfigError, NumericError
 from stmotion.motiondata import JOINT_DIM
@@ -515,7 +517,6 @@ class TestRollout:
             np.testing.assert_array_equal(out[s], seed[-1])
 
     def test_untrained_rollout_is_zero_velocity(self):
-        from stmotion import motiondata as md
         sk = md.default_skeleton()
         seq = md.synth_motion(sk, 8, 60.0, md.two_frequency_spec(sk))
         cfg = mo.ModelConfig(n_joints=9, embed_dim=8, n_heads=2, n_layers=1,
@@ -751,6 +752,22 @@ class TestForwardValidation:
         x = rand_window(cfg, b=1)[0]
         pred, _, _ = mo.forward(params, cfg, x)
         assert pred.data.shape == x.shape
+
+
+class TestMisuseGuards:
+    # guards on how the modules are called, not on outside input
+    @pytest.mark.parametrize("call, match", [
+        (lambda: tz.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))), "rank >= 2"),
+        (lambda: ev.metric_euler(np.zeros((4, 9)), np.zeros((4, 9)), [100], 60.0),
+         r"expected \(B, T, N, 9\) rotations, got \(4, 9\)"),
+        (lambda: ev.ps_of_windows([], md.default_skeleton()), "at least one window"),
+        (lambda: mo.zero_velocity(np.zeros((0, 3, 9), np.float32), 2), "seed must be non-empty"),
+        (lambda: md.synth_motion(md.default_skeleton(), 0, 60.0, []),
+         "duration_frames must be >= 1"),
+    ], ids=["matmul_rank", "rotations_shape", "no_windows", "empty_seed", "no_frames"])
+    def test_raises_a_plain_value_error(self, call, match):
+        with misuse(match=match):
+            call()
 
 
 class TestFfPerBranch:

@@ -1,6 +1,8 @@
 import ctypes
+import errno
 import json
 import math
+import os
 import re
 import struct
 import types
@@ -156,7 +158,7 @@ class TestSoftmax:
     def test_sum_gradient_is_zero(self):
         # softmax rows sum to a constant, so d(sum)/dx == 0
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((1, 5)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 5)), requires_grad=True)
         with Tape() as tape:
             y = tz.tsum(tau(x))
         backward(y, tape)
@@ -168,7 +170,7 @@ def unfused_attention(q, k, v, scale, mask, mode):
     tau kernel as the engine wrote it before the fusion, then @ v."""
     kt = tz.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
     qk = tz.matmul(q, kt)
-    s = tz.mul(qk, Tensor(scale, dtype=qk.dtype)).data
+    s = tz.mul(qk, Tensor(np.asarray(scale, qk.dtype))).data
     if mode == "softmax":
         if mask is not None:
             s = s + mask
@@ -427,14 +429,14 @@ class TestBackward:
         # x used twice must receive the sum of both path gradients
         rng = np.random.default_rng(7)
         data = rng.standard_normal(5)
-        x = Tensor(data, requires_grad=True, dtype=np.float64)
+        x = Tensor(data, requires_grad=True)
         with Tape() as tape:
             loss = tz.add(tz.tsum(tz.mul(x, x)), tz.tsum(tz.mul(x, Tensor(3.0))))
         backward(loss, tape)
 
         # same computation with two distinct copies of the input
-        x1 = Tensor(data, requires_grad=True, dtype=np.float64)
-        x2 = Tensor(data, requires_grad=True, dtype=np.float64)
+        x1 = Tensor(data, requires_grad=True)
+        x2 = Tensor(data, requires_grad=True)
         with Tape() as tape2:
             loss2 = tz.add(tz.tsum(tz.mul(x1, x1)), tz.tsum(tz.mul(x2, Tensor(3.0))))
         backward(loss2, tape2)
@@ -452,7 +454,7 @@ class TestBackward:
         # reshape's backward (run first, as it was recorded last) hands back a
         # view of r's gradient; the direct path must not write into that view
         rng = np.random.default_rng(8)
-        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         c1 = rng.standard_normal((3, 2))
         c2 = rng.standard_normal((2, 3))
         with Tape() as tape:
@@ -482,6 +484,22 @@ class TestBackward:
         for i, (ka, ga) in enumerate(grads):
             for kb, gb in grads[i + 1:]:
                 assert not np.shares_memory(ga, gb), (ka, kb)
+
+    def test_op_whose_output_gets_no_gradient_is_skipped(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        with Tape() as tape:
+            z = tz.add(x, x)  # recorded, but the loss does not read it
+            loss = tz.tsum(tz.mul(x, x))
+
+        def never(g):
+            raise AssertionError("the closure of an op whose output got no gradient ran")
+
+        (out, inputs, _), *rest = tape.ops
+        assert out is z
+        tape.ops[:] = [(out, inputs, never)] + rest
+        backward(loss, tape)
+        assert z.grad is None
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_tape_topological_order(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -560,6 +578,62 @@ class TestMiscOps:
                    lambda t: tz.layer_norm(t, Tensor(np.ones(6, np.float32)),
                                            Tensor(np.zeros(6, np.float32)))):
             assert np.all(np.isfinite(op(x).data))
+
+
+def _attention(mode):
+    """tz.attention's context over (2, 4, 3) operands under `mode`, with the
+    additive causal mask, float32 as the model builds it for either dtype."""
+    mask = np.triu(np.full((4, 4), -1e9, np.float32), 1)
+    return lambda q, k, v: tz.attention(q, k, v, 0.5, mask, mode)[0]
+
+
+# each op of tz.__all__, as (operand shapes, a call on operands of those
+# shapes); an op with modes has a case per mode, named op/mode
+OP_CASES = {
+    "matmul": ([(2, 3, 4), (4, 5)], tz.matmul),
+    "joint_linear": ([(3, 2, 4), (3, 4, 5)], tz.joint_linear),
+    "joint_linear/heads": ([(3, 2, 4), (3, 2, 4, 5)], tz.joint_linear),
+    "add": ([(2, 3), (3,)], tz.add),
+    "mul": ([(2, 3), (3,)], tz.mul),
+    "relu": ([(2, 3)], tz.relu),
+    "reshape": ([(2, 3)], lambda a: tz.reshape(a, (3, 2))),
+    "transpose": ([(2, 3, 4)], lambda a: tz.transpose(a, (2, 0, 1))),
+    "attention/softmax": ([(2, 4, 3)] * 3, _attention("softmax")),
+    "attention/sum_normalize": ([(2, 4, 3)] * 3, _attention("sum_normalize")),
+    "layer_norm": ([(2, 4), (4,), (4,)], tz.layer_norm),
+    "dropout": ([(2, 3)], lambda x: tz.dropout(x, 0.5, np.random.default_rng(0))),
+    "tsum": ([(2, 3)], tz.tsum),
+    "l2norm_lastdim": ([(2, 3)], tz.l2norm_lastdim),
+}
+
+
+class TestDtype:
+    def test_cases_cover_every_op(self):
+        engine = {"Tensor", "Tape", "backward", "finite_diff_check", "atomic_write",
+                  "save_record", "load_record"}
+        assert {name.split("/")[0] for name in OP_CASES} == set(tz.__all__) - engine
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(OP_CASES))
+    def test_op_keeps_its_operands_dtype(self, case, dtype):
+        # the recorded closure is called directly: backward's own cast would
+        # hide a gradient the op widened
+        shapes, op = OP_CASES[case]
+        rng = np.random.default_rng(1)
+        xs = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+        with Tape() as tape:
+            out = op(*xs)
+        assert out.data.dtype == dtype
+        (recorded, inputs, fn), = tape.ops
+        assert recorded is out and inputs == tuple(xs)
+        grads = fn(rng.standard_normal(out.shape).astype(dtype))
+        assert [(g.dtype, g.shape) for g in grads] == [(dtype, x.shape) for x in xs]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.bool_, np.float16, np.float32,
+                                       np.float64, np.complex64])
+    def test_tensor_holds_the_array_it_is_given(self, dtype):
+        a = np.arange(6).reshape(2, 3).astype(dtype)
+        assert Tensor(a).data is a
 
 
 class TestFiniteDiffCheck:
@@ -683,4 +757,20 @@ class TestAtomicWrite:
         with tz.atomic_write(p) as fh:
             fh.write("new\n")
         assert p.read_text() == "new\n"
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_failed_replace_names_the_path_and_keeps_the_old_file(self, tmp_path,
+                                                                  monkeypatch):
+        p = tmp_path / "out.csv"
+        p.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(tz.os, "replace", refuse)
+        with pytest.raises(OSError) as info:
+            with tz.atomic_write(p) as fh:
+                fh.write("new\n")
+        assert info.value.filename == str(p) and info.value.errno == errno.EACCES
+        assert p.read_text() == "old\n"
         assert sorted(tmp_path.iterdir()) == [p]
